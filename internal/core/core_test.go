@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"highorder/internal/data"
 	"highorder/internal/rng"
+	"highorder/internal/synth"
 )
 
 func staggerSchema() *data.Schema {
@@ -80,6 +82,47 @@ func TestBuildEmptyFails(t *testing.T) {
 	if _, err := Build(nil, DefaultOptions()); err == nil {
 		t.Fatal("nil history accepted")
 	}
+}
+
+// TestBuildRejectsNaN: a NaN attribute value in the history fails the
+// build with the tree learner's error naming the attribute, whichever
+// training (a step-1 leaf or a concept retrain) meets it first.
+func TestBuildRejectsNaN(t *testing.T) {
+	noRetrain := DefaultOptions()
+	noRetrain.RetrainConcepts = false
+	cases := []struct {
+		name string
+		hist func() *data.Dataset
+		nan  func(i int) bool
+		attr int
+		opts Options
+		want string
+	}{
+		{"every third x1", seaHistory, func(i int) bool { return i%3 == 2 }, 0, DefaultOptions(), `attribute "x1" is NaN`},
+		{"every third x1, no retrain", seaHistory, func(i int) bool { return i%3 == 2 }, 0, noRetrain, `attribute "x1" is NaN`},
+		{"one x2", seaHistory, func(i int) bool { return i == 1234 }, 1, DefaultOptions(), `attribute "x2" is NaN`},
+		{"one nominal", func() *data.Dataset { d, _ := stream(3, [2]int{0, 600}, [2]int{1, 600}); return d },
+			func(i int) bool { return i == 700 }, 0, DefaultOptions(), `attribute "color" is NaN`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hist := tc.hist()
+			for i := range hist.Records {
+				if tc.nan(i) {
+					hist.Records[i].Values[tc.attr] = math.NaN()
+				}
+			}
+			m, err := Build(hist, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build = (%v, %v), want an error containing %q", m, err, tc.want)
+			}
+		})
+	}
+}
+
+// seaHistory is a 3,000-record SEA history with frequent concept shifts.
+func seaHistory() *data.Dataset {
+	return synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 5, Lambda: 0.003}), 3000)
 }
 
 func TestBuildFindsThreeConcepts(t *testing.T) {

@@ -204,9 +204,13 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 			full := &data.Dataset{Schema: hist.Schema, Records: recs}
 			spc.SetArg("records", int64(full.Len()))
 			if full.Len() > 0 {
-				if retrained, err := o.Learner.Train(full); err == nil {
-					model = retrained
+				retrained, err := o.Learner.Train(full)
+				if err != nil {
+					spc.End()
+					spRetrain.End()
+					return nil, fmt.Errorf("core: retraining concept %d: %w", ci, err)
 				}
+				model = retrained
 			}
 			spc.End()
 		}

@@ -49,18 +49,20 @@ func NewLearner() *Learner { return &Learner{} }
 // Name returns "c4.5".
 func (l *Learner) Name() string { return "c4.5" }
 
-// Train grows and prunes a tree from d.
+// Train grows and prunes a tree from d. It fails on an empty dataset and
+// on any NaN attribute value, naming the first such record and attribute.
 func (l *Learner) Train(d *data.Dataset) (classifier.Classifier, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("tree: cannot train on empty dataset") //homlint:allow hotpathalloc -- error construction on the failure path only
 	}
 	opts := l.Opts.withDefaults()
-	g := &grower{
-		schema:  d.Schema,
-		opts:    opts,
-		records: d.Records,
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	g, err := newGrower(d, opts, s)
+	if err != nil {
+		return nil, err
 	}
-	root := g.grow(g.root(), 0)
+	root := g.grow(0, d.Len(), 0)
 	if opts.Confidence < 1 {
 		prune(root, opts.Confidence)
 	}

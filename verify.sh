@@ -3,7 +3,8 @@
 #
 # Runs, in order: formatting, vet, build, the full test suite under the
 # race detector, short fuzz passes over the CSV parsers, the serving API
-# decoder, and the homlint directive grammar, a coverage floor on the
+# decoder, the tree grower, and the homlint directive grammar, the
+# benchmark module's own tests, a coverage floor on the
 # fault-hardened serving packages, and the repository's own whole-module
 # static-analysis suite (cmd/homlint, checked against the committed
 # baseline with a SARIF report written to results/). Every step must
@@ -39,11 +40,11 @@ step "go test -race ./..."
 go test -race ./...
 
 # The race detector skews allocation counts, so the AllocsPerRun
-# ceilings (similarityEdge, zero-copy view iteration, and the flight
-# recorder's disabled/unsampled 0-alloc paths) and the benchmark smoke
-# run without it.
-step "alloc ceilings (internal/cluster, internal/data, internal/obs, internal/store)"
-go test ./internal/cluster ./internal/data -run Allocs -count=1
+# ceilings (similarityEdge, zero-copy view iteration, the flight
+# recorder's disabled/unsampled 0-alloc paths, and the tree grower's
+# grown-nodes-only allocations) and the benchmark smoke run without it.
+step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store)"
+go test ./internal/cluster ./internal/data ./internal/tree -run Allocs -count=1
 go test ./internal/obs -run Allocs -count=1
 go test ./internal/store -run Allocs -count=1
 
@@ -80,6 +81,13 @@ go test ./internal/serve -run='^$' -fuzz='^FuzzBinaryRecords$' -fuzztime="$FUZZT
 step "fuzz compiled-vs-interpreted differential (${FUZZTIME})"
 go test ./internal/compiled -run='^$' -fuzz='^FuzzCompiledVsInterpreted$' -fuzztime="$FUZZTIME"
 
+# The sort-once tree grower must build the same tree as the retained
+# reference grower (per-node sort.SliceStable copies), node for node and
+# bit for bit, on arbitrary NaN-free data with ties, signed zeros and
+# infinities.
+step "fuzz tree grower vs reference (${FUZZTIME})"
+go test ./internal/tree -run='^$' -fuzz='^FuzzGrowerVsReference$' -fuzztime="$FUZZTIME"
+
 step "fuzz homlint directive grammar (${FUZZTIME})"
 go test ./internal/analysis -run='^$' -fuzz='^FuzzParseDirective$' -fuzztime="$FUZZTIME"
 
@@ -95,6 +103,13 @@ go test ./internal/store -run='^$' -fuzz='^FuzzSegmentRead$' -fuzztime="$FUZZTIM
 # chaos regression should name itself in the verify log.
 step "store chaos suite (3 fault points x 3 seeds, -race)"
 go test -race ./internal/store -run 'TestStoreChaos' -count=1
+
+# The benchmark (cmd/hombench) is a module of its own, so the root
+# go test ./... above skips it. Its tests cover the compare and
+# percentile math, BENCHMARK.json's consistency with the code, and a
+# short smoke run of all four workloads through the real binaries.
+step "hombench module tests (cd cmd/hombench && go test ./...)"
+(cd cmd/hombench && go test ./...)
 
 # Coverage floor: the packages that own failure handling — the serving
 # stack, the gateway, the fault-injection layer, and the tiered session
