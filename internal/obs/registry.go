@@ -15,9 +15,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -266,8 +268,9 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 // collected at render time: collect is called with an emit function and
 // produces every (label values, value) pair. Series order in the
 // exposition is the natural order of the label values, regardless of emit
-// order. Used for families whose population is dynamic (e.g. per-session
-// active probabilities).
+// order. emit copies the label values, so collect may reuse one values
+// slice across calls. Used for families whose population is dynamic
+// (e.g. per-session active probabilities).
 func (r *Registry) NewGaugeVecFunc(name, help string, labels []string, collect func(emit func(values []string, v float64))) {
 	f := r.register(&family{name: name, help: help, kind: kindGauge, labels: labels})
 	f.collectFn = collect
@@ -380,10 +383,11 @@ func (f *family) removeSeries(values []string) {
 	}
 }
 
-// naturalLess compares strings with digit runs ordered numerically, so
+// naturalCompare compares strings with digit runs ordered numerically, so
 // "s2" < "s10", "200" < "404", and plain words fall back to lexical order.
 // It keeps exposition order human-sensible for id-like label values.
-func naturalLess(a, b string) bool {
+// Distinct strings can compare equal ("s01" and "s1").
+func naturalCompare(a, b string) int {
 	for len(a) > 0 && len(b) > 0 {
 		ad, bd := digitPrefix(a), digitPrefix(b)
 		if ad > 0 && bd > 0 {
@@ -391,18 +395,18 @@ func naturalLess(a, b string) bool {
 			bv, berr := strconv.ParseUint(b[:bd], 10, 64)
 			if aerr == nil && berr == nil {
 				if av != bv {
-					return av < bv
+					return cmp.Compare(av, bv)
 				}
 				a, b = a[ad:], b[bd:]
 				continue
 			}
 		}
 		if a[0] != b[0] {
-			return a[0] < b[0]
+			return cmp.Compare(a[0], b[0])
 		}
 		a, b = a[1:], b[1:]
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
 // digitPrefix returns the length of the leading digit run of s.
@@ -414,34 +418,95 @@ func digitPrefix(s string) int {
 	return n
 }
 
-// keyLess orders two series keys by natural order of each label value.
-func keyLess(a, b string) bool {
-	as, bs := strings.Split(a, "\x00"), strings.Split(b, "\x00")
-	for i := 0; i < len(as) && i < len(bs); i++ {
-		if as[i] != bs[i] {
-			return naturalLess(as[i], bs[i])
+// keyCompare orders two series keys by the natural order of their first
+// differing label value, walking the NUL-separated values in place; a
+// key that is a prefix of the other sorts first.
+func keyCompare(a, b string) int {
+	for {
+		av, arest, amore := strings.Cut(a, "\x00")
+		bv, brest, bmore := strings.Cut(b, "\x00")
+		if av != bv {
+			return naturalCompare(av, bv)
+		}
+		switch {
+		case amore && bmore:
+			a, b = arest, brest
+		case amore:
+			return 1
+		case bmore:
+			return -1
+		default:
+			return 0
 		}
 	}
-	return len(as) < len(bs)
 }
 
-// labelString renders {k1="v1",k2="v2"} for the series key, or "" for
-// unlabeled series.
-func labelString(labels []string, key string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	values := strings.Split(key, "\x00")
-	var sb strings.Builder
-	sb.WriteByte('{')
+// appendLabelPairs renders l1="v1",l2="v2" from the series key's
+// NUL-separated label values, quoting each value as fmt's %q does.
+func appendLabelPairs(b []byte, labels []string, key string) []byte {
 	for i, l := range labels {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", l, values[i])
+		var v string
+		v, key, _ = strings.Cut(key, "\x00")
+		b = append(b, l...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, v)
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return b
+}
+
+// appendSeriesName renders name+suffix and the {…} label set of key, or
+// no braces for an unlabeled series, then the space before the value.
+func appendSeriesName(b []byte, name, suffix string, labels []string, key string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(labels) > 0 {
+		b = append(b, '{')
+		b = appendLabelPairs(b, labels, key)
+		b = append(b, '}')
+	}
+	return append(b, ' ')
+}
+
+// renderFlushAt is the buffered exposition size at which WriteText hands
+// the buffer to the writer, bounding the buffer whatever the series count.
+const renderFlushAt = 32 << 10
+
+// renderScratch is the pooled state of one WriteText call: the output
+// buffer and the per-family snapshot of series or collected samples.
+type renderScratch struct {
+	buf     []byte
+	series  []seriesRef
+	keys    []byte // collected samples' keys, back to back
+	samples []sample
+}
+
+// seriesRef is one stored series captured for rendering.
+type seriesRef struct {
+	key string
+	s   any
+}
+
+// sample is one collected (func-backed) series: its key is keys[lo:hi]
+// of the render scratch until the keys are frozen into one string.
+type sample struct {
+	key    string
+	lo, hi int
+	v      float64
+}
+
+var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+// flush hands the buffer to w once it passes renderFlushAt (or always,
+// with force). Write errors are ignored: a scraper hanging up mid-render
+// is not the registry's failure.
+func (rs *renderScratch) flush(w io.Writer, force bool) {
+	if len(rs.buf) >= renderFlushAt || (force && len(rs.buf) > 0) {
+		_, _ = w.Write(rs.buf)
+		rs.buf = rs.buf[:0]
+	}
 }
 
 // WriteText renders the Prometheus text exposition of every family, in
@@ -452,92 +517,139 @@ func (r *Registry) WriteText(w io.Writer) {
 	families := make([]*family, len(r.families))
 	copy(families, r.families)
 	r.mu.Unlock()
+	rs := renderPool.Get().(*renderScratch)
 	for _, f := range families {
-		f.writeTo(w)
+		f.writeText(w, rs)
+	}
+	rs.flush(w, true)
+	// Drop what one very large scrape grew, so it is not pinned.
+	if cap(rs.keys) > 1<<20 || cap(rs.samples) > 1<<16 || cap(rs.series) > 1<<16 {
+		*rs = renderScratch{buf: rs.buf}
+	}
+	clear(rs.series[:cap(rs.series)])
+	clear(rs.samples[:cap(rs.samples)])
+	renderPool.Put(rs)
+}
+
+// writeText renders the family into rs.buf, flushing it to w as it fills.
+func (f *family) writeText(w io.Writer, rs *renderScratch) {
+	b := append(rs.buf, "# HELP "...)
+	b = append(b, f.name...)
+	b = append(b, ' ')
+	b = append(b, f.help...)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, f.name...)
+	b = append(b, ' ')
+	b = append(b, f.typeString()...)
+	b = append(b, '\n')
+	rs.buf = b
+
+	switch {
+	case f.valueFn != nil:
+		b = appendSeriesName(rs.buf, f.name, "", nil, "")
+		b = strconv.AppendInt(b, f.valueFn(), 10)
+		rs.buf = append(b, '\n')
+	case f.collectFn != nil:
+		f.writeCollected(w, rs)
+	default:
+		f.writeSeries(w, rs)
 	}
 }
 
-func (f *family) writeTo(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typeString())
-
-	if f.valueFn != nil {
-		fmt.Fprintf(w, "%s %d\n", f.name, f.valueFn())
-		return
-	}
-	if f.collectFn != nil {
-		type sample struct {
-			key string
-			v   float64
+// writeCollected renders a func-backed labeled family: it collects every
+// sample, copying the label values (so collect may reuse its values
+// slice), sorts them by key, and renders them.
+func (f *family) writeCollected(w io.Writer, rs *renderScratch) {
+	rs.keys, rs.samples = rs.keys[:0], rs.samples[:0]
+	f.collectFn(func(values []string, v float64) {
+		if len(values) != len(f.labels) {
+			panic(fmt.Sprintf("obs: family %q collected %d label values, want %d", f.name, len(values), len(f.labels)))
 		}
-		var samples []sample
-		f.collectFn(func(values []string, v float64) {
-			if len(values) != len(f.labels) {
-				panic(fmt.Sprintf("obs: family %q collected %d label values, want %d", f.name, len(values), len(f.labels)))
+		lo := len(rs.keys)
+		for i, val := range values {
+			if i > 0 {
+				rs.keys = append(rs.keys, 0)
 			}
-			samples = append(samples, sample{key: strings.Join(values, "\x00"), v: v})
-		})
-		sort.Slice(samples, func(i, j int) bool { return keyLess(samples[i].key, samples[j].key) })
-		for _, s := range samples {
-			fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, s.key), formatFloat(s.v))
+			rs.keys = append(rs.keys, val...)
 		}
-		return
+		rs.samples = append(rs.samples, sample{lo: lo, hi: len(rs.keys), v: v})
+	})
+	keys := string(rs.keys)
+	for i := range rs.samples {
+		s := &rs.samples[i]
+		s.key = keys[s.lo:s.hi]
 	}
+	slices.SortFunc(rs.samples, func(a, b sample) int { return keyCompare(a.key, b.key) })
+	for _, s := range rs.samples {
+		b := appendSeriesName(rs.buf, f.name, "", f.labels, s.key)
+		b = strconv.AppendFloat(b, s.v, 'g', -1, 64)
+		rs.buf = append(b, '\n')
+		rs.flush(w, false)
+	}
+}
 
+// writeSeries renders a family of stored series, snapshotting them under
+// the family lock and rendering after releasing it.
+func (f *family) writeSeries(w io.Writer, rs *renderScratch) {
+	rs.series = rs.series[:0]
 	f.mu.Lock()
-	keys := make([]string, len(f.keys))
-	copy(keys, f.keys)
+	for _, key := range f.keys {
+		rs.series = append(rs.series, seriesRef{key: key, s: f.series[key]})
+	}
 	f.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	for _, key := range keys {
-		f.mu.Lock()
-		s := f.series[key]
-		f.mu.Unlock()
-		if s == nil {
-			continue
-		}
-		ls := labelString(f.labels, key)
-		switch v := s.(type) {
+	slices.SortFunc(rs.series, func(a, b seriesRef) int { return keyCompare(a.key, b.key) })
+	for _, sr := range rs.series {
+		switch v := sr.s.(type) {
 		case *Counter:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, ls, v.Value())
+			b := appendSeriesName(rs.buf, f.name, "", f.labels, sr.key)
+			b = strconv.AppendInt(b, v.Value(), 10)
+			rs.buf = append(b, '\n')
 		case *Gauge:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, ls, v.Value())
+			b := appendSeriesName(rs.buf, f.name, "", f.labels, sr.key)
+			b = strconv.AppendInt(b, v.Value(), 10)
+			rs.buf = append(b, '\n')
 		case *Histogram:
-			v.writeTo(w, f.name, f.labels, key)
+			rs.buf = v.appendText(rs.buf, f.name, f.labels, sr.key)
 		}
+		rs.flush(w, false)
 	}
 }
 
-// writeTo renders the histogram's _bucket/_sum/_count series. Bucket
-// bounds format with strconv's shortest 'g' representation, matching the
-// fmt %g verb used for the sum.
-func (h *Histogram) writeTo(w io.Writer, name string, labels []string, key string) {
+// appendText renders the histogram's _bucket/_sum/_count series under
+// its lock, so counts, sum and count are one consistent snapshot. Bucket
+// bounds format with strconv's shortest 'g' representation, as the sum
+// does.
+func (h *Histogram) appendText(b []byte, name string, labels []string, key string) []byte {
 	h.mu.Lock()
-	counts := append([]int64(nil), h.counts...)
-	inf, sum, count := h.inf, h.sum, h.count
-	h.mu.Unlock()
-
-	// Bucket label lists append le after the family labels.
-	values := []string{}
-	if key != "" || len(labels) > 0 {
-		values = strings.Split(key, "\x00")
-	}
-	bucketLabels := append(append([]string{}, labels...), "le")
+	defer h.mu.Unlock()
 	cum := int64(0)
-	for i, b := range h.buckets {
-		cum += counts[i]
-		bkey := strings.Join(append(append([]string{}, values...), strconv.FormatFloat(b, 'g', -1, 64)), "\x00")
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(bucketLabels, bkey), cum)
+	for i, bound := range h.buckets {
+		cum += h.counts[i]
+		b = appendBucket(b, name, labels, key, bound)
+		b = strconv.AppendInt(b, cum, 10)
+		b = append(b, '\n')
 	}
-	bkey := strings.Join(append(append([]string{}, values...), "+Inf"), "\x00")
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(bucketLabels, bkey), cum+inf)
-	ls := labelString(labels, key)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, ls, formatFloat(sum))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, ls, count)
+	b = appendBucket(b, name, labels, key, math.Inf(1))
+	b = strconv.AppendInt(b, cum+h.inf, 10)
+	b = append(b, '\n')
+	b = appendSeriesName(b, name, "_sum", labels, key)
+	b = strconv.AppendFloat(b, h.sum, 'g', -1, 64)
+	b = append(b, '\n')
+	b = appendSeriesName(b, name, "_count", labels, key)
+	b = strconv.AppendInt(b, h.count, 10)
+	return append(b, '\n')
 }
 
-// formatFloat renders v exactly like fmt's %g: shortest representation
-// that round-trips.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendBucket renders name_bucket{…,le="bound"} and the space before
+// the value; le follows the family labels.
+func appendBucket(b []byte, name string, labels []string, key string, bound float64) []byte {
+	b = append(b, name...)
+	b = append(b, "_bucket{"...)
+	b = appendLabelPairs(b, labels, key)
+	if len(labels) > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, `le="`...)
+	b = strconv.AppendFloat(b, bound, 'g', -1, 64)
+	return append(b, `"} `...)
 }

@@ -82,8 +82,11 @@ func TestNaturalLess(t *testing.T) {
 		{"s1", "s1", false},
 	}
 	for _, c := range cases {
-		if got := naturalLess(c.a, c.b); got != c.want {
-			t.Errorf("naturalLess(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		if got := naturalCompare(c.a, c.b) < 0; got != c.want {
+			t.Errorf("naturalCompare(%q, %q) < 0 = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got, rev := naturalCompare(c.a, c.b), naturalCompare(c.b, c.a); got != -rev {
+			t.Errorf("naturalCompare(%q, %q) = %d but reversed = %d", c.a, c.b, got, rev)
 		}
 	}
 }

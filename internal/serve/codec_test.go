@@ -360,9 +360,10 @@ func TestBinaryAcceptNegotiation(t *testing.T) {
 }
 
 // FuzzBinaryRecords is the codec-parity fuzzer of the equivalence
-// contract's wire half: an arbitrary binary frame and its JSON rendering
-// must agree — either both decode to the identical record batch and
-// identical decodeRecords verdict, or the frame is rejected outright.
+// contract's wire half: an arbitrary binary frame and its JSON rendering,
+// decoded by the server's JSON request decoder, must agree — either both
+// decode to the identical record batch and identical decodeRecords
+// verdict, or the frame is rejected outright.
 func FuzzBinaryRecords(f *testing.F) {
 	seed, _ := EncodeBinaryClassifyRequest(ClassifyRequest{Records: [][]float64{{0, 1, 2}, {2, 1, 0}}})
 	f.Add(seed)
@@ -370,6 +371,7 @@ func FuzzBinaryRecords(f *testing.F) {
 	f.Add(nan)
 	f.Add([]byte("HOMB\x01\x01\x00\x00\x00\x00\x00\x00"))
 	schema := testModel().Schema
+	var sc jsonScratch
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		req, err := DecodeBinaryClassifyRequest(frame)
 		if err != nil {
@@ -384,14 +386,15 @@ func FuzzBinaryRecords(f *testing.F) {
 		if err != nil || !sameBits(req.Records, req2.Records) || req.Proba != req2.Proba {
 			t.Fatalf("binary round trip lost information (err=%v)", err)
 		}
-		// JSON parity on the validation verdict. JSON cannot carry NaN/Inf
-		// at all, so for batches containing them only the shared
-		// decodeRecords rejection is comparable — and it must reject.
+		// JSON parity on the validation verdict, through the JSON request
+		// decoder the server runs. JSON cannot carry NaN/Inf at all, so for
+		// batches containing them only the shared decodeRecords rejection
+		// is comparable — and it must reject.
 		_, binErr := decodeRecords(schema, req.Records, nil)
 		if jsonBody, err := json.Marshal(ClassifyRequest{Records: req.Records}); err == nil {
-			var jreq ClassifyRequest
-			if err := json.Unmarshal(jsonBody, &jreq); err != nil {
-				t.Fatalf("JSON round trip of a finite batch failed: %v", err)
+			jreq, err := decodeClassifyJSON(jsonBody, &sc)
+			if err != nil {
+				t.Fatalf("JSON decode of a finite batch failed: %v", err)
 			}
 			if !sameBits(jreq.Records, req.Records) {
 				t.Fatal("JSON and binary decodes disagree on record bits")

@@ -128,8 +128,10 @@ func newMetrics(numClasses, numConcepts int, smp samplers) *metrics {
 		"Per-session concept active probability P_t(c) at scrape time.",
 		[]string{"session", "concept"},
 		func(emit func(values []string, v float64)) {
+			values := make([]string, 2)
 			smp.activeProbs(func(session string, concept int, p float64) {
-				emit([]string{session, strconv.Itoa(concept)}, p)
+				values[0], values[1] = session, strconv.Itoa(concept)
+				emit(values, p)
 			})
 		})
 	m.switches = reg.NewCounterVec("hom_concept_switches_total",
@@ -149,8 +151,10 @@ func newMetrics(numClasses, numConcepts int, smp samplers) *metrics {
 			"Fault-point firings of the installed injector (absent series when disabled).",
 			[]string{"point"},
 			func(emit func(values []string, v float64)) {
+				values := make([]string, 1)
 				ff(func(point string, fired int64) {
-					emit([]string{point}, float64(fired))
+					values[0] = point
+					emit(values, float64(fired))
 				})
 			})
 	}

@@ -817,11 +817,43 @@ func (s *Server) writeBinary(w http.ResponseWriter, frame []byte) {
 	_, _ = w.Write(frame) // the client hanging up mid-response is not a server error
 }
 
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// readJSONRequest reads a classify or observe JSON body into pooled
+// scratch, under the same size cap as every other body, and decodes it
+// with decode (decodeClassifyJSON or decodeObserveJSON).
+func readJSONRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte, *jsonScratch) (T, error)) (T, bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	sc := jsonScratchPool.Get().(*jsonScratch)
+	defer sc.release()
+	err := sc.readBody(r.Body, r.ContentLength)
+	var req T
+	if err == nil {
+		req, err = decode(sc.body, sc)
+	}
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return req, false
+	}
+	return req, true
+}
+
+// decodeBody strictly decodes the body as one JSON value into v: unknown
+// fields and anything but whitespace after the value are refused. With
+// emptyOK, an empty body leaves v at its zero value.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == io.EOF && emptyOK {
+		return true
+	}
+	if err == nil {
+		end := dec.InputOffset()
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("data after the JSON value ending at byte %d", end)
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return false
 	}
@@ -869,11 +901,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CreateSessionRequest
-	// An empty body is allowed: default options.
-	if r.ContentLength != 0 {
-		if !s.decodeBody(w, r, &req) {
-			return
-		}
+	// An empty body, sized or chunked, selects the default options.
+	if !s.decodeBody(w, r, &req, true) {
+		return
 	}
 	if req.ID != "" && !validSessionID(req.ID) {
 		s.writeError(w, http.StatusBadRequest, "invalid session id %q", req.ID)
@@ -956,7 +986,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		binaryResp = true
-	} else if !s.decodeBody(w, r, &req) {
+	} else if req, ok = readJSONRequest(s, w, r, decodeClassifyJSON); !ok {
 		return
 	}
 	recs, err := decodeRecords(s.model.Schema, req.Records, nil)
@@ -1000,7 +1030,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		binaryResp = true
-	} else if !s.decodeBody(w, r, &req) {
+	} else if req, ok = readJSONRequest(s, w, r, decodeObserveJSON); !ok {
 		return
 	}
 	recs, err := decodeRecords(s.model.Schema, req.Records, req.Classes)
@@ -1076,7 +1106,7 @@ func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var snap SessionSnapshot
-	if !s.decodeBody(w, r, &snap) {
+	if !s.decodeBody(w, r, &snap, false) {
 		return
 	}
 	if !validSessionID(snap.ID) {
@@ -1123,7 +1153,7 @@ func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
 // handleAdminDrain toggles drain mode (see SetDraining).
 func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	var req DrainRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	s.draining.Store(req.Draining)

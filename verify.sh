@@ -41,12 +41,15 @@ go test -race ./...
 
 # The race detector skews allocation counts, so the AllocsPerRun
 # ceilings (similarityEdge, zero-copy view iteration, the flight
-# recorder's disabled/unsampled 0-alloc paths, and the tree grower's
-# grown-nodes-only allocations) and the benchmark smoke run without it.
-step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store)"
+# recorder's disabled/unsampled 0-alloc paths, the tree grower's
+# grown-nodes-only allocations, the exposition renderer's and the JSON
+# request decoder's constant allocations) and the benchmark smoke run
+# without it.
+step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store, internal/serve)"
 go test ./internal/cluster ./internal/data ./internal/tree -run Allocs -count=1
 go test ./internal/obs -run Allocs -count=1
 go test ./internal/store -run Allocs -count=1
+go test ./internal/serve -run Allocs -count=1
 
 # The compiled classify hot path contract: ClassifyBatch allocates
 # nothing per call for any compiled base learner, the interpreted
@@ -67,7 +70,9 @@ step "fuzz dataio (${FUZZTIME} each)"
 go test ./internal/dataio -run='^$' -fuzz='^FuzzParseRecord$' -fuzztime="$FUZZTIME"
 go test ./internal/dataio -run='^$' -fuzz='^FuzzReadStream$' -fuzztime="$FUZZTIME"
 
-step "fuzz serve classify decoder (${FUZZTIME})"
+# The JSON request decoder must be a strict subset of encoding/json:
+# whatever it accepts, encoding/json accepts with the same bits.
+step "fuzz serve JSON request decoder vs encoding/json (${FUZZTIME})"
 go test ./internal/serve -run='^$' -fuzz='^FuzzClassifyRequest$' -fuzztime="$FUZZTIME"
 
 # The binary wire codec and the compiled predictor each carry a
