@@ -63,7 +63,6 @@ type fleetWorkload struct {
 	seed                                 int64
 	queue, workers                       int
 	codec                                serve.Codec
-	compiled                             bool
 }
 
 // parseSweep parses "1,2,4" into replica counts.
@@ -295,7 +294,7 @@ type fleetStoreTotals struct {
 // requested churn/kill/autoscale choreography, and tears everything down.
 func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, replicas int,
 	w fleetWorkload, fo fleetOptions) (*fleetRun, error) {
-	opts := serve.Options{QueueDepth: w.queue, Workers: w.workers, Interpreted: !w.compiled}
+	opts := serve.Options{QueueDepth: w.queue, Workers: w.workers}
 	if fo.serviceDelay > 0 {
 		// Every observe batch stalls by the configured service delay, so a
 		// replica's throughput is latency-bound: honest near-linear scaling

@@ -92,7 +92,6 @@ func main() {
 	storeRecords := flag.Int("store-records", 3, "store bench: labeled records observed per session")
 	storeRevisits := flag.Int("store-revisits", 0, "store bench: cold sessions revisited to measure hydration (0 = sessions/10, capped at 10000)")
 	codecName := flag.String("codec", "json", `classify/observe wire codec: "json" or "binary"`)
-	compiled := flag.Bool("compiled", true, "in-process server: serve sessions on the compiled classify hot path (false forces the interpreted predictor, for A/B runs)")
 	classifyBench := flag.Int("classify-bench", 0, "after the load run, classify N records through a fresh warmed session per codec and record per-codec throughput in the summary (0 = off)")
 	flag.Parse()
 
@@ -179,7 +178,7 @@ func main() {
 			sessions: *sessions, records: *records, batch: *batch, maxRetries: *maxRetries,
 			stream: *stream, lambda: *lambda, seed: *seed,
 			queue: *queue, workers: *workers,
-			codec: codec, compiled: *compiled,
+			codec: codec,
 		}
 		runFleet(clk, slp, *modelPath, outPath, w, fo)
 		return
@@ -191,7 +190,6 @@ func main() {
 	}
 	base := *addr
 	var shutdown func() error
-	servedCompiled := false
 	if *modelPath != "" {
 		m, err := dataio.LoadModel(*modelPath)
 		if err != nil {
@@ -203,13 +201,11 @@ func main() {
 		}
 		srv, err := serve.NewTiered(m, serve.Options{
 			QueueDepth: *queue, Workers: *workers, MicroBatch: *microBatch,
-			Interpreted: !*compiled,
-			Tier:        serve.TierOptions{SpillDir: *spillDir, HotSessions: *hotSessions, WAL: *wal},
+			Tier: serve.TierOptions{SpillDir: *spillDir, HotSessions: *hotSessions, WAL: *wal},
 		})
 		if err != nil {
 			fail(err)
 		}
-		servedCompiled = srv.Compiled()
 		ctx, cancel := context.WithCancel(context.Background())
 		served := make(chan error, 1)
 		go func() { served <- srv.Serve(ctx, l) }()
@@ -244,10 +240,9 @@ func main() {
 
 	sum := summarize(results, *sessions, *records, *batch, *stream, *seed, elapsed)
 	sum.Config.Codec = *codecName
-	sum.Config.Compiled = servedCompiled
 
 	if *classifyBench > 0 {
-		cb, err := runClassifyBench(clk, base, *classifyBench, servedCompiled)
+		cb, err := runClassifyBench(clk, base, *classifyBench)
 		if err != nil {
 			fail(fmt.Errorf("classify bench: %w", err))
 		}
@@ -415,7 +410,6 @@ type summary struct {
 		Seed              int64  `json:"seed"`
 		GoMaxProcs        int    `json:"gomaxprocs"`
 		Codec             string `json:"codec"`
-		Compiled          bool   `json:"compiled"`
 	} `json:"config"`
 	Requests struct {
 		Attempted  int `json:"attempted"`
@@ -463,10 +457,9 @@ type summary struct {
 
 // classifyBench is the per-codec classify-only throughput section.
 type classifyBench struct {
-	Records  int                        `json:"records"`
-	Batch    int                        `json:"batch"`
-	Compiled bool                       `json:"compiled"`
-	Codecs   map[string]codecBenchStats `json:"codecs"`
+	Records int                        `json:"records"`
+	Batch   int                        `json:"batch"`
+	Codecs  map[string]codecBenchStats `json:"codecs"`
 }
 
 type codecBenchStats struct {
@@ -480,12 +473,11 @@ const classifyBenchBatch = 2048
 
 // runClassifyBench measures classify-only throughput per wire codec
 // against the already-running server at base.
-func runClassifyBench(clk clock.Clock, base string, records int, compiled bool) (*classifyBench, error) {
+func runClassifyBench(clk clock.Clock, base string, records int) (*classifyBench, error) {
 	cb := &classifyBench{
-		Records:  records,
-		Batch:    classifyBenchBatch,
-		Compiled: compiled,
-		Codecs:   map[string]codecBenchStats{},
+		Records: records,
+		Batch:   classifyBenchBatch,
+		Codecs:  map[string]codecBenchStats{},
 	}
 	for _, cc := range []struct {
 		name  string

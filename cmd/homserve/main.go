@@ -14,13 +14,18 @@
 //	         [-flight-sample N] [-flight-slots 4096] [-flight-dir dumps/]
 //	         [-spill-dir sessions/ -hot-sessions 1024 -wal]
 //
-// -spill-dir enables the tiered session store: a bounded in-memory hot
-// set over on-disk snapshot segments. Sessions evicted by pressure or TTL
-// spill to disk and rehydrate transparently on their next request, so the
-// session population is bounded by disk, not RAM. With -wal every
-// acknowledged observe batch is fsync'd to a write-ahead label log before
-// the response, and replayed on restart — acknowledged labels survive
-// kill -9.
+// The model is compiled at boot (internal/compiled); every model homtrain
+// writes compiles, and a model the compiler rejects is refused with an
+// error naming the concept.
+//
+// Without -spill-dir, sessions live in memory: -max-sessions bounds them
+// and -ttl discards idle ones. -spill-dir enables the tiered session
+// store: a bounded in-memory hot set over on-disk snapshot segments.
+// Sessions evicted by pressure or TTL spill to disk and rehydrate
+// transparently on their next request, so the session population is
+// bounded by disk, not RAM. With -wal every acknowledged observe batch is
+// fsync'd to a write-ahead label log before the response, and replayed on
+// restart — acknowledged labels survive kill -9.
 //
 // -flight-sample enables the always-on flight recorder: spans for ~1 in N
 // traces land in a fixed-size in-memory ring, dumpable on demand via
@@ -81,10 +86,9 @@ func main() {
 	flightSlots := flag.Int("flight-slots", 0, "flight recorder ring capacity in spans (0 = default 4096)")
 	flightDir := flag.String("flight-dir", "", "write fault-triggered flight dumps into this directory (with -flight-sample)")
 	flightProc := flag.String("flight-proc", "homserve", "process name stamped on flight dumps")
-	spillDir := flag.String("spill-dir", "", "tiered session store: directory for disk spill segments (empty = tiering off, sessions die with the process)")
+	spillDir := flag.String("spill-dir", "", "tiered session store: directory for disk spill segments (empty = tiering off: at most -max-sessions sessions, which die with the process)")
 	hotSessions := flag.Int("hot-sessions", 0, "tiered session store: in-memory hot-set bound (0 = default 1024; needs -spill-dir)")
 	wal := flag.Bool("wal", false, "tiered session store: fsync a write-ahead label log so acknowledged observes survive a crash (needs -spill-dir)")
-	compiled := flag.Bool("compiled", true, "serve sessions on the compiled classify hot path when the model compiles (false forces the interpreted predictor, for A/B comparison)")
 	flag.Parse()
 
 	m, err := dataio.LoadModel(*modelPath)
@@ -116,7 +120,6 @@ func main() {
 		RequestTimeout: *requestTimeout,
 		ShedDepth:      *shedDepth,
 		Recorder:       rec,
-		Interpreted:    !*compiled,
 		Tier: serve.TierOptions{
 			SpillDir:    *spillDir,
 			HotSessions: *hotSessions,
@@ -146,11 +149,7 @@ func main() {
 		fmt.Printf("homserve: debug endpoints (pprof, expvar) on %s\n", dl.Addr())
 	}
 
-	path := "interpreted"
-	if s.Compiled() {
-		path = "compiled"
-	}
-	fmt.Printf("homserve: serving %d-concept model from %s on %s (%s classify path)\n", m.NumConcepts(), *modelPath, l.Addr(), path)
+	fmt.Printf("homserve: serving %d-concept model from %s on %s\n", m.NumConcepts(), *modelPath, l.Addr())
 	if err := s.Serve(ctx, l); err != nil {
 		fail(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"highorder/internal/bayes"
+	"highorder/internal/classifier"
 	"highorder/internal/core"
 	"highorder/internal/data"
 	"highorder/internal/tree"
@@ -110,10 +111,11 @@ func (m *Model) Schema() *data.Schema { return m.schema }
 // NumConcepts returns the number of compiled concept programs.
 func (m *Model) NumConcepts() int { return m.n }
 
-// Compile lowers m into flat decision tables. It returns an error when a
-// concept's classifier is not a *tree.Tree, *bayes.Model, or
-// *tree.RuleSet (callers fall back to the interpreted predictor), or when
-// the model is internally inconsistent (mis-sized χ or distributions).
+// Compile lowers m into flat decision tables. It returns an error naming
+// the concept when a concept's classifier is not a *tree.Tree,
+// *bayes.Model, *tree.RuleSet, or *classifier.Majority — every type
+// internal/dataio can load — or when the model is internally
+// inconsistent (mis-sized χ or distributions).
 func Compile(src *core.Model) (*Model, error) {
 	n := len(src.Concepts)
 	if n == 0 {
@@ -153,6 +155,8 @@ func Compile(src *core.Model) (*Model, error) {
 			p, err = m.compileBayes(cls)
 		case *tree.RuleSet:
 			p, err = m.compileRules(cls)
+		case *classifier.Majority:
+			p, err = m.compileMajority(cls)
 		default:
 			err = fmt.Errorf("unsupported classifier %T", cls)
 		}
@@ -309,4 +313,17 @@ func (m *Model) compileRules(rs *tree.RuleSet) (program, error) {
 	}
 	p.ruleN = int32(len(m.rules)) - p.ruleOff
 	return p, nil
+}
+
+// compileMajority lowers a Majority classifier to a one-leaf tree
+// program. Majority ignores its input, so the leaf's class is Predict of
+// any record and its distribution is PredictProba of any record.
+func (m *Model) compileMajority(c *classifier.Majority) (program, error) {
+	dist, err := m.addDist(c.PredictProba(data.Record{}))
+	if err != nil {
+		return program{}, fmt.Errorf("majority %w", err)
+	}
+	root := int32(len(m.nodes))
+	m.nodes = append(m.nodes, node{class: int32(c.Predict(data.Record{})), dist: dist})
+	return program{kind: progTree, root: root}, nil
 }

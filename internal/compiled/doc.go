@@ -2,12 +2,13 @@
 // and provides a compiled twin of core.Predictor for the serving hot path.
 //
 // The compiler (Compile) walks each concept's base classifier —
-// *tree.Tree, *bayes.Model, or *tree.RuleSet — and emits a pointer-free
-// program over four shared arenas: a contiguous node table with int32
-// child indices instead of *Node pointers, one []float64 arena holding
-// every leaf distribution, log-frequency table, and Gaussian parameter
-// block, a flattened rule/condition table, and the transition matrix χ
-// transposed row-major so the prior update streams sequentially. The
+// *tree.Tree, *bayes.Model, *tree.RuleSet, or *classifier.Majority (a
+// one-leaf tree) — and emits a pointer-free program over four shared
+// arenas: a contiguous node table with int32 child indices instead of
+// *Node pointers, one []float64 arena holding every leaf distribution,
+// log-frequency table, and Gaussian parameter block, a flattened
+// rule/condition table, and the transition matrix χ transposed
+// row-major so the prior update streams sequentially. The
 // compiled Predictor lays its online state out struct-of-arrays: post,
 // prior, acc, and the bayes scratch share one backing []float64, and the
 // pruning order is cached while the prior is valid. ClassifyBatch walks
@@ -33,7 +34,8 @@
 // fuzzer (FuzzCompiledVsInterpreted); any divergence is a bug in this
 // package, never an accepted tolerance.
 //
-// Compile returns an error for classifier types it does not understand —
-// callers (internal/serve) fall back to the interpreted predictor, so an
-// unsupported model degrades in speed, never in behavior.
+// Compile returns an error, naming the concept, for classifier types it
+// does not understand. Every type internal/dataio can load compiles, so
+// internal/serve serves only compiled predictors and refuses a model
+// Compile rejects at boot.
 package compiled

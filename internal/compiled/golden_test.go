@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"highorder/internal/bayes"
+	"highorder/internal/classifier"
 	"highorder/internal/core"
 	"highorder/internal/data"
 	"highorder/internal/synth"
@@ -39,13 +40,14 @@ func sameFloats(a, b []float64) bool {
 // Models are built once per process: the suite iterates many
 // option/batch/seed combinations over the same immutable models.
 var (
-	modelOnce   sync.Once
-	treeModel   *core.Model
-	bayesModel  *core.Model
-	rulesModel  *core.Model
-	buildErr    error
-	goldenHist  *data.Dataset
-	goldenHist2 *data.Dataset
+	modelOnce     sync.Once
+	treeModel     *core.Model
+	bayesModel    *core.Model
+	rulesModel    *core.Model
+	majorityModel *core.Model
+	buildErr      error
+	goldenHist    *data.Dataset
+	goldenHist2   *data.Dataset
 )
 
 func buildModels() {
@@ -63,6 +65,14 @@ func buildModels() {
 	bopts.Seed = 1
 	bopts.Learner = bayes.NewLearner()
 	bayesModel, buildErr = core.Build(goldenHist, bopts)
+	if buildErr != nil {
+		return
+	}
+
+	mopts := core.DefaultOptions()
+	mopts.Seed = 1
+	mopts.Learner = classifier.MajorityLearner{}
+	majorityModel, buildErr = core.Build(goldenHist, mopts)
 	if buildErr != nil {
 		return
 	}
@@ -92,14 +102,15 @@ func goldenModels(t testing.TB) map[string]*core.Model {
 	if buildErr != nil {
 		t.Fatalf("building golden models: %v", buildErr)
 	}
+	models := map[string]*core.Model{"tree": treeModel, "bayes": bayesModel, "rules": rulesModel, "majority": majorityModel}
 	// Vacuousness guards: a single-concept model would make the pruning
 	// loop, the χ update, and the MAP tracking all trivial.
-	for name, m := range map[string]*core.Model{"tree": treeModel, "bayes": bayesModel, "rules": rulesModel} {
+	for name, m := range models {
 		if len(m.Concepts) < 2 {
 			t.Fatalf("%s model has %d concepts; the equivalence run would be vacuous", name, len(m.Concepts))
 		}
 	}
-	return map[string]*core.Model{"tree": treeModel, "bayes": bayesModel, "rules": rulesModel}
+	return models
 }
 
 // checkStateEqual compares the two predictors' portable snapshots bit for
@@ -256,6 +267,21 @@ func TestCompileRejectsUnsupportedClassifier(t *testing.T) {
 }
 
 type unsupportedClassifier struct{}
+
+// TestCompileRejectsMisSizedMajority: a Majority distribution that does
+// not match the schema's classes is an error, as for the other types.
+func TestCompileRejectsMisSizedMajority(t *testing.T) {
+	m := &core.Model{
+		Schema: synth.StaggerSchema(),
+		Concepts: []core.Concept{
+			{Model: classifier.NewMajority(0, []float64{1}), Err: 0.1},
+		},
+		Chi: [][]float64{{1}},
+	}
+	if _, err := Compile(m); err == nil {
+		t.Fatal("Compile accepted a mis-sized Majority distribution")
+	}
+}
 
 func (unsupportedClassifier) Predict(data.Record) int            { return 0 }
 func (unsupportedClassifier) PredictProba(data.Record) []float64 { return []float64{1, 0} }

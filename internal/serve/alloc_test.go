@@ -1,6 +1,7 @@
 //go:build !race
 
-// Allocation ceilings for the JSON request decoder. AllocsPerRun is
+// Allocation ceilings for the JSON request decoder and the per-request
+// session lookup. AllocsPerRun is
 // meaningless under the race detector (it instruments allocations, and
 // sync.Pool drops items at random), so this file is excluded from the
 // -race run; verify.sh runs it in a separate non-race pass.
@@ -10,6 +11,8 @@ package serve
 import (
 	"bytes"
 	"testing"
+
+	"highorder/internal/core"
 )
 
 // TestJSONDecodeAllocs pins the decoder's allocations: reading the body
@@ -41,6 +44,33 @@ func TestJSONDecodeAllocs(t *testing.T) {
 		})
 		if classify > 2 || observe > 3 {
 			t.Errorf("%d records: classify decode %.0f allocs (ceiling 2), observe decode %.0f allocs (ceiling 3)", n, classify, observe)
+		}
+	}
+}
+
+// TestSessionGetAllocs pins the per-request session lookup: resolving a
+// hot session allocates nothing, over a memory-only or a tiered store.
+func TestSessionGetAllocs(t *testing.T) {
+	for name, tier := range map[string]TierOptions{
+		"memory-only": {},
+		"tiered":      {SpillDir: t.TempDir(), WAL: true},
+	} {
+		s, err := NewTiered(testModel(), Options{Tier: tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := s.table.create(core.PredictorOptions{}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := s.table.get(sess.ID()); !ok {
+				t.Fatalf("%s: hot session not found", name)
+			}
+		})
+		s.Close()
+		if allocs != 0 {
+			t.Errorf("%s: sessionTable.get of a hot session makes %.0f allocs, want 0", name, allocs)
 		}
 	}
 }

@@ -239,9 +239,6 @@ func TestBinaryCodecE2E(t *testing.T) {
 		ts.Close()
 		s.Close()
 	}()
-	if !s.Compiled() {
-		t.Fatal("stagger tree model should have compiled")
-	}
 
 	jsonC := NewClient(ts.URL, nil)
 	binC := NewClient(ts.URL, nil).WithCodec(CodecBinary)

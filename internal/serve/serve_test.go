@@ -10,6 +10,7 @@ import (
 
 	"highorder/internal/classifier"
 	"highorder/internal/clock"
+	"highorder/internal/compiled"
 	"highorder/internal/core"
 	"highorder/internal/data"
 )
@@ -34,15 +35,9 @@ func testModel() *core.Model {
 	}
 }
 
-// interpretedFactory builds session predictors straight from the model —
-// the table-unit tests don't exercise the compiled path.
-func interpretedFactory(m *core.Model) func(core.PredictorOptions) core.OnlinePredictor {
-	return func(o core.PredictorOptions) core.OnlinePredictor { return m.NewPredictorWithOptions(o) }
-}
-
 func TestSessionTableTTLEviction(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
-	tab := newSessionTable(fake.Clock(), time.Minute, 10, interpretedFactory(testModel()))
+	tab := New(testModel(), Options{SessionTTL: time.Minute, MaxSessions: 10, Clock: fake.Clock()}).table
 
 	s1, err := tab.create(core.PredictorOptions{}, "")
 	if err != nil {
@@ -72,7 +67,7 @@ func TestSessionTableTTLEviction(t *testing.T) {
 
 func TestSessionTableSweepFreesCapacity(t *testing.T) {
 	fake := clock.NewFake(time.Unix(1000, 0))
-	tab := newSessionTable(fake.Clock(), time.Minute, 2, interpretedFactory(testModel()))
+	tab := New(testModel(), Options{SessionTTL: time.Minute, MaxSessions: 2, Clock: fake.Clock()}).table
 	for i := 0; i < 2; i++ {
 		if _, err := tab.create(core.PredictorOptions{}, ""); err != nil {
 			t.Fatal(err)
@@ -90,11 +85,100 @@ func TestSessionTableSweepFreesCapacity(t *testing.T) {
 }
 
 func TestSessionIDsAreSequential(t *testing.T) {
-	tab := newSessionTable(nil, time.Hour, 10, interpretedFactory(testModel()))
+	tab := New(testModel(), Options{SessionTTL: time.Hour, MaxSessions: 10}).table
 	a, _ := tab.create(core.PredictorOptions{}, "")
 	b, _ := tab.create(core.PredictorOptions{}, "")
 	if a.ID() != "s1" || b.ID() != "s2" {
 		t.Fatalf("ids = %q, %q; want s1, s2", a.ID(), b.ID())
+	}
+}
+
+// TestSessionsRunCompiled: every served session runs on the compiled
+// predictor — testModel's Majority concepts included — because a model
+// the compiler rejects never boots.
+func TestSessionsRunCompiled(t *testing.T) {
+	s := New(testModel(), Options{})
+	sess, err := s.table.create(core.PredictorOptions{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sess.p.(*compiled.Predictor); !ok {
+		t.Fatalf("session predictor is %T, want *compiled.Predictor", sess.p)
+	}
+}
+
+// TestUncompilableModelRefused: a model with a classifier the compiler
+// does not understand is refused at boot, with an error naming the
+// concept, instead of being served some other way.
+func TestUncompilableModelRefused(t *testing.T) {
+	m := testModel()
+	m.Concepts[1].Model = opaqueClassifier{}
+	_, err := NewTiered(m, Options{})
+	if err == nil || !strings.Contains(err.Error(), "concept 1") {
+		t.Fatalf("NewTiered error = %v, want one naming concept 1", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New served an uncompilable model")
+		}
+	}()
+	New(m, Options{})
+}
+
+type opaqueClassifier struct{}
+
+func (opaqueClassifier) Predict(data.Record) int            { return 0 }
+func (opaqueClassifier) PredictProba(data.Record) []float64 { return []float64{1, 0} }
+
+// TestMemoryOnlyReusesClosedSlots pins the memory-only store's bound: with
+// MaxSessions 3, closing sessions frees their slots for later creates
+// without discarding a live one, and a create beyond the bound answers
+// 429 without discarding anything either.
+func TestMemoryOnlyReusesClosedSlots(t *testing.T) {
+	s := New(testModel(), Options{MaxSessions: 3})
+	s.Start()
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+
+	create := func() string {
+		t.Helper()
+		created, err := c.CreateSession(CreateSessionRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return created.ID
+	}
+	a, b := create(), create()
+	records, classes := tierWire(9)
+	for _, id := range []string{a, b} {
+		if _, err := c.Observe(id, records, classes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.CloseSession(create()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := create()
+	want := twinState(t, s.model, records, classes)
+	for _, id := range []string{a, b} {
+		sess, ok := s.table.get(id)
+		if !ok {
+			t.Fatalf("live session %s discarded to make room for %s", id, e)
+		}
+		requireBitIdentical(t, sess.State(), want)
+	}
+	_, err := c.CreateSession(CreateSessionRequest{})
+	if he, ok := err.(*HTTPError); !ok || he.Status != http.StatusTooManyRequests {
+		t.Fatalf("create above MaxSessions: want 429, got %v", err)
+	}
+	for _, id := range []string{a, b, e} {
+		if _, ok := s.table.get(id); !ok {
+			t.Fatalf("refused create discarded live session %s", id)
+		}
 	}
 }
 

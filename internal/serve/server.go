@@ -34,15 +34,13 @@ type Options struct {
 	// drains and executes together; <= 0 selects 8, 1 disables batching.
 	MicroBatch int
 	// SessionTTL evicts sessions idle longer than this; <= 0 selects
-	// 15 minutes. To disable eviction set a very large TTL.
+	// 15 minutes. To disable eviction set a very large TTL. The janitor
+	// sweeps every SessionTTL/4, and at least once a second.
 	SessionTTL time.Duration
 	// MaxSessions bounds live sessions; <= 0 selects 10000.
 	MaxSessions int
 	// RetryAfter is the Retry-After hint on 429 responses; <= 0 selects 1s.
 	RetryAfter time.Duration
-	// JanitorInterval is the TTL sweep period; <= 0 selects SessionTTL/4
-	// (bounded below at 1s).
-	JanitorInterval time.Duration
 	// RequestTimeout bounds how long a queued task may wait before
 	// execution: a task dequeued after its deadline is answered 503
 	// without touching the predictor, so the result is never ambiguous —
@@ -57,11 +55,6 @@ type Options struct {
 	// Clock supplies time for TTL accounting and latency metrics; nil
 	// selects the wall clock. Tests inject a clock.Fake.
 	Clock clock.Clock
-	// Trace records a span per classify/observe micro-batch when non-nil.
-	// The tracer retains every span until exported, so it is meant for
-	// bounded diagnostic runs (tests, replays, load probes), not for a
-	// long-lived production server. nil disables tracing at zero cost.
-	Trace *obs.Tracer
 	// Recorder is the always-on flight recorder: classify/observe work
 	// attaches to the request's X-Hom-Trace context, and notable events
 	// (deadline expiry, shed, fired faults) trigger automatic ring dumps.
@@ -77,17 +70,11 @@ type Options struct {
 	// Tests inject a clock.Fake.Sleeper so delay faults are instant.
 	Sleep clock.Sleeper
 	// Tier configures the tiered session store (bounded hot set, disk
-	// spill, write-ahead label log). The zero value disables tiering;
-	// setting SpillDir enables it. Servers with tiering must be built with
-	// NewTiered so the spill-directory open error can be handled.
+	// spill, write-ahead label log). The zero value keeps sessions in a
+	// memory-only store bounded by MaxSessions; setting SpillDir enables
+	// tiering. Servers with tiering must be built with NewTiered so the
+	// spill-directory open error can be handled.
 	Tier TierOptions
-	// Interpreted forces every session onto the interpreted
-	// core.Predictor, skipping ahead-of-time compilation of the model
-	// (internal/compiled). The default compiles when the model's
-	// classifiers support it and falls back to interpreted when they
-	// don't — the two are bit-identical, so this switch only exists for
-	// A/B benchmarking and for isolating a suspected compiler bug.
-	Interpreted bool
 }
 
 func (o Options) withDefaults() Options {
@@ -112,12 +99,7 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 10 * time.Second
 	}
-	if o.JanitorInterval <= 0 {
-		o.JanitorInterval = o.SessionTTL / 4
-		if o.JanitorInterval < time.Second {
-			o.JanitorInterval = time.Second
-		}
-	}
+	o.Tier = o.Tier.withDefaults()
 	return o
 }
 
@@ -192,17 +174,13 @@ const maxSpillResolves = 8
 
 // Server serves one immutable model to many concurrent sessions.
 type Server struct {
-	model *core.Model
-	// compiled is the model's ahead-of-time compiled form; nil when
-	// Options.Interpreted is set or a concept's classifier type is not
-	// compilable (the server then serves interpreted — slower, never
-	// different).
-	compiled *compiled.Model
-	opts     Options
-	clk      clock.Clock
-	table    *sessionTable
-	metrics  *metrics
-	// store is the tiered session store; nil when Options.Tier is zero.
+	model   *core.Model
+	opts    Options
+	clk     clock.Clock
+	table   *sessionTable
+	metrics *metrics
+	// store holds the sessions: tiered when Options.Tier.SpillDir is set,
+	// memory-only otherwise.
 	store *store.Store[*Session]
 
 	queue chan *task
@@ -227,9 +205,10 @@ type Server struct {
 
 // New builds a server over m. Call Start to launch the worker pool, then
 // expose Handler via an http.Server (or use Serve, which does both).
-// With tiering enabled (Options.Tier.SpillDir set) opening the spill
-// directory can fail; New panics where NewTiered reports the error, so
-// callers that enable tiering should prefer NewTiered.
+// Compiling the model or, with tiering enabled (Options.Tier.SpillDir
+// set), opening the spill directory can fail; New panics where NewTiered
+// reports the error, so callers that load models from disk or enable
+// tiering should prefer NewTiered.
 func New(m *core.Model, opts Options) *Server {
 	s, err := NewTiered(m, opts)
 	if err != nil {
@@ -238,32 +217,25 @@ func New(m *core.Model, opts Options) *Server {
 	return s
 }
 
-// NewTiered is New with the tiered-store open error surfaced: a
-// corrupted-beyond-salvage or unwritable spill directory refuses to serve
-// rather than silently starting empty.
+// NewTiered is New with the boot errors surfaced: a model the compiler
+// rejects (internal/compiled names the concept), or a
+// corrupted-beyond-salvage or unwritable spill directory, refuses to
+// serve rather than silently starting empty.
 func NewTiered(m *core.Model, opts Options) (*Server, error) {
+	cm, err := compiled.Compile(m)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	o := opts.withDefaults()
 	clk := o.Clock.OrWall()
 	s := &Server{
 		model:      m,
 		opts:       o,
 		clk:        clk,
-		table:      newSessionTable(clk, o.SessionTTL, o.MaxSessions, nil),
+		table:      &sessionTable{clk: clk, ttl: o.SessionTTL, max: o.MaxSessions, model: cm},
 		queue:      make(chan *task, o.QueueDepth),
 		janitorEnd: make(chan struct{}),
 	}
-	if !o.Interpreted {
-		// Best-effort compilation: an unsupported classifier type means
-		// the model serves interpreted, which is bit-identical (see
-		// internal/compiled's equivalence contract) — degraded in speed,
-		// never in behavior.
-		if cm, err := compiled.Compile(m); err == nil {
-			s.compiled = cm
-		}
-	}
-	// The predictor factory must be installed before openTier below:
-	// recovery runs Create/Hydrate callbacks while the tier opens.
-	s.table.newPredictor = s.newPredictor
 	s.metrics = newMetrics(m.Schema.NumClasses(), m.NumConcepts(), samplers{
 		queueDepth: func() int64 { return int64(len(s.queue)) },
 		live:       func() int64 { return int64(s.table.live()) },
@@ -292,7 +264,7 @@ func NewTiered(m *core.Model, opts Options) (*Server, error) {
 		},
 		tier: tierSampler(s, o),
 	})
-	// Per-session series die with the session, whether closed or evicted.
+	// Per-session series die with the session, whether closed or spilled.
 	s.table.onRemove = s.metrics.sessionClosed
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/sessions", s.instrument("create_session", s.handleCreateSession))
@@ -316,41 +288,21 @@ func NewTiered(m *core.Model, opts Options) (*Server, error) {
 		rec := o.Recorder
 		o.Fault.SetObserver(func(p fault.Point) { rec.Trigger(faultReasons[p]) })
 	}
-	if o.Tier.enabled() {
-		if err := s.openTier(); err != nil {
-			return nil, err
-		}
+	if err := s.openStore(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// newPredictor builds one session predictor: the compiled twin when the
-// model compiled, the interpreted core.Predictor otherwise. Every
-// predictor construction site — session create, tier hydrate, crash
-// recovery — funnels through here, so a server is uniformly compiled or
-// uniformly interpreted.
-func (s *Server) newPredictor(opts core.PredictorOptions) core.OnlinePredictor {
-	if s.compiled != nil {
-		return s.compiled.NewPredictor(opts)
-	}
-	return s.model.NewPredictorWithOptions(opts)
-}
-
-// Compiled reports whether sessions run on the ahead-of-time compiled
-// model rather than the interpreted predictor.
-func (s *Server) Compiled() bool { return s.compiled != nil }
-
 // tierSampler builds the metrics sampler over the server's store, which
 // is opened after the metric families are registered — the closure
-// indirection (plus the nil guard) breaks the ordering cycle.
+// indirection breaks the ordering cycle. A memory-only store has no tier
+// families.
 func tierSampler(s *Server, o Options) func() (int64, int64, int64, int64, int64) {
 	if !o.Tier.enabled() {
 		return nil
 	}
 	return func() (int64, int64, int64, int64, int64) {
-		if s.store == nil {
-			return 0, 0, 0, 0, 0
-		}
 		st := s.store.Stats()
 		return st.Hot, st.Cold, st.Spills, st.Hydrates, st.WALReplayed
 	}
@@ -412,12 +364,10 @@ func (s *Server) Close() {
 		s.qmu.Unlock()
 		close(s.janitorEnd)
 		s.wg.Wait()
-		if s.store != nil {
-			// Checkpoint after the last worker: every hot session is
-			// snapshotted to its segment and the WAL truncated, so the next
-			// start recovers from compact snapshots with an empty log.
-			_ = s.store.Close()
-		}
+		// Checkpoint after the last worker: a tiered store snapshots every
+		// hot session to its segment and truncates the WAL, so the next
+		// start recovers from compact snapshots with an empty log.
+		_ = s.store.Close()
 	})
 }
 
@@ -506,21 +456,20 @@ func (s *Server) runBatch(batch []*task) {
 }
 
 // runTasks executes queued tasks for one session under one lock
-// acquisition — the micro-batching fast path. With a tracer configured it
-// records one span per task on the online hot path. Tasks whose deadline
-// passed in the queue are answered expired before the predictor is
-// touched, so a deadline 503 never leaves ambiguous state.
+// acquisition — the micro-batching fast path. Tasks whose deadline passed
+// in the queue are answered expired before the predictor is touched, so a
+// deadline 503 never leaves ambiguous state.
 func (s *Server) runTasks(sess *Session, tasks []*task) {
-	m, tr, rec := s.metrics, s.opts.Trace, s.opts.Recorder
-	// With tiering, the session pointer bound at enqueue time may have
-	// been spilled (its state moved to disk) while the tasks queued.
-	// Mutating a spilled value would be silently lost on the next
-	// hydration, so re-resolve through the table — which rehydrates —
-	// until the value we hold the lock on is the live one. Bounded: under
-	// pathological eviction pressure the tasks are refused retryably
-	// rather than applied to a dead object, with the exhaustion counted
-	// in hom_spill_retry_exhausted_total so hot-set thrash is visible to
-	// operators rather than blending into other 503s.
+	m, rec := s.metrics, s.opts.Recorder
+	// The session pointer bound at enqueue time may have been spilled
+	// (its state moved to disk, or dropped by a memory-only store) while
+	// the tasks queued. Mutating a spilled value would be silently lost,
+	// so re-resolve through the table — which rehydrates, or answers not
+	// found — until the value we hold the lock on is the live one.
+	// Bounded: under pathological eviction pressure the tasks are refused
+	// retryably rather than applied to a dead object, with the exhaustion
+	// counted in hom_spill_retry_exhausted_total so hot-set thrash is
+	// visible to operators rather than blending into other 503s.
 	for attempt := 0; ; attempt++ {
 		sess.mu.Lock()
 		if sess.quarantined.Load() {
@@ -573,11 +522,8 @@ func (s *Server) runTasks(sess *Session, tasks []*task) {
 		sess.curTC = t.tc
 		switch t.kind {
 		case taskClassify:
-			sp := tr.StartSpan("serve.classify")
 			fsp := rec.Start(t.tc, flightClassify)
 			res.classify = sess.classifyLocked(t.recs, t.withProba)
-			sp.SetArg("records", int64(len(t.recs)))
-			sp.End()
 			fsp.SetSession(sess.ID())
 			fsp.SetArg(int64(len(t.recs)))
 			fsp.End()
@@ -586,16 +532,13 @@ func (s *Server) runTasks(sess *Session, tasks []*task) {
 			if d := s.opts.Fault.Delay(fault.LabelDelay); d > 0 {
 				s.opts.Sleep.Sleep(d)
 			}
-			sp := tr.StartSpan("serve.observe")
 			fsp := rec.Start(t.tc, flightObserve)
 			res.observe = sess.observeLocked(t.recs, s.opts.Fault)
-			sp.SetArg("records", int64(len(t.recs)))
-			sp.End()
 			fsp.SetSession(sess.ID())
 			fsp.SetArg(int64(len(t.recs)))
 			fsp.End()
 			m.observed(res.observe.Applied)
-			if s.store != nil && res.observe.Applied > 0 {
+			if s.opts.Tier.WAL && res.observe.Applied > 0 {
 				// WAL-before-ack: the applied records are fsync'd to the
 				// label log before the response is released. A crash after
 				// this line loses nothing acknowledged; a crash before it
@@ -698,10 +641,11 @@ func (s *Server) submit(t *task) (taskResult, int, error) {
 	return res, http.StatusOK, nil
 }
 
-// janitor sweeps expired sessions until Close.
+// janitor sweeps expired sessions every SessionTTL/4 (at least once a
+// second) until Close.
 func (s *Server) janitor() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.JanitorInterval)
+	ticker := time.NewTicker(max(s.opts.SessionTTL/4, time.Second))
 	defer ticker.Stop()
 	for {
 		select {
@@ -1135,15 +1079,13 @@ func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
-	if s.store != nil {
-		// The WAL create logged at table.create carries only the options —
-		// the restored predictor state needs a durable snapshot, or a crash
-		// after the 200 would resurrect the session empty.
-		if err := s.store.Persist(sess.ID()); err != nil {
-			s.table.remove(sess.ID())
-			s.writeError(w, http.StatusInternalServerError, "persist restored session: %v", err)
-			return
-		}
+	// The WAL create logged at table.create carries only the options — the
+	// restored predictor state needs a durable snapshot, or a crash after
+	// the 200 would resurrect the session empty.
+	if err := s.store.Persist(sess.ID()); err != nil {
+		s.table.remove(sess.ID())
+		s.writeError(w, http.StatusInternalServerError, "persist restored session: %v", err)
+		return
 	}
 	sess.setSink(s.sessionSink(sess))
 	s.metrics.sessionCreated()

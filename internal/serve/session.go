@@ -41,20 +41,21 @@ type Session struct {
 	opts core.PredictorOptions
 
 	mu sync.Mutex
-	// p is either the interpreted *core.Predictor or its compiled twin
-	// (*compiled.Predictor) — bit-identical by internal/compiled's golden
-	// suite, so everything above this field is implementation-blind.
+	// p is the compiled twin (*compiled.Predictor) in a served session and
+	// the interpreted *core.Predictor in a local one — bit-identical by
+	// internal/compiled's golden suite, so everything above this field is
+	// implementation-blind.
 	p core.OnlinePredictor
 	// curTC is the trace context of the task currently executing under
 	// mu, so predictor sink events (concept switches) fired inside
 	// observeLocked attach to the request's trace. Written and read only
 	// under mu.
 	curTC obs.TraceContext
-	// spilled marks a value that has left the tiered store's hot set: its
-	// state lives on disk now, and mutating this object would be silently
-	// lost on the next hydration. Holders of a stale pointer must check it
-	// under mu and re-resolve through the table (see Server.runTasks).
-	// Always false without tiering.
+	// spilled marks a value that has left the store's hot set: its state
+	// lives on disk now (or, in a memory-only store, is gone), and
+	// mutating this object would be silently lost. Holders of a stale
+	// pointer must check it under mu and re-resolve through the table (see
+	// Server.runTasks).
 	spilled bool
 
 	// lastUsed is the unix-nano timestamp of the last table access, read
@@ -250,96 +251,57 @@ func (s *Session) clearSpilled() {
 // is process-local state over a deterministic model, and predictable ids
 // keep tests and traces readable.
 //
-// With tiering enabled (str non-nil) the sessions map is unused: the
-// tiered store owns the id space across both tiers, lookups hydrate cold
-// sessions transparently, and TTL eviction demotes to disk instead of
-// destroying predictor state.
+// A store.Store holds the sessions. It owns the id space, and lookups
+// hydrate cold sessions transparently. The TTL rule is one: an expired
+// session is spilled, and the store decides what that means — a tiered
+// store demotes it to disk, a memory-only store discards it.
 type sessionTable struct {
-	clk clock.Clock
-	ttl time.Duration
-	max int
-	// newPredictor builds a fresh predictor for a new session — the
-	// compiled twin when the server's model compiled, the interpreted
-	// core.Predictor otherwise. Set before the table is shared.
-	newPredictor func(core.PredictorOptions) core.OnlinePredictor
+	clk   clock.Clock
+	ttl   time.Duration
+	max   int
+	model *compiled.Model
+	str   *store.Store[*Session]
 
-	mu       sync.Mutex
-	nextID   int64
-	sessions map[string]*Session
-	evicted  int64
+	// mu serializes creates, so the limit check, the id choice, and the
+	// Put are one step.
+	mu      sync.Mutex
+	nextID  int64
+	evicted atomic.Int64
 
-	// onRemove, when set, is called with the id of every session that
-	// leaves the table (explicit close or TTL eviction), so per-session
-	// metric series can be dropped with it. Set before the table is shared.
-	onRemove func(id string)
-
-	// str, when non-nil, is the tiered session store; onHydrate runs on
-	// every session rebuilt from the cold tier (sink reattachment). Both
-	// are set before the table is shared.
-	str       *store.Store[*Session]
+	// onRemove is called with the id of every explicitly closed session,
+	// so its per-session metric series can be dropped with it; onHydrate
+	// runs on every session rebuilt from the cold tier (sink reattachment).
+	// Both are set before the table is shared.
+	onRemove  func(id string)
 	onHydrate func(*Session)
 }
 
-func newSessionTable(clk clock.Clock, ttl time.Duration, max int, newPredictor func(core.PredictorOptions) core.OnlinePredictor) *sessionTable {
-	return &sessionTable{
-		clk:          clk.OrWall(),
-		ttl:          ttl,
-		max:          max,
-		newPredictor: newPredictor,
-		sessions:     make(map[string]*Session),
-	}
+// newSession builds a fresh session over the compiled model — the one
+// constructor behind create, hydration, and crash recovery.
+func (t *sessionTable) newSession(id string, opts core.PredictorOptions) *Session {
+	s := &Session{id: id, opts: opts, p: t.model.NewPredictor(opts)}
+	s.touch(t.clk())
+	return s
 }
 
-// create opens a new session. Expired sessions are evicted first, so a
-// full table of dead sessions does not refuse live clients. A non-empty id
-// requests that exact session id (the gateway's cross-replica namespace);
-// an empty id selects the next sequential server-local one. Creating an id
-// that is already live fails with ErrSessionExists.
+// create opens a new session. Expired sessions are spilled first, so a
+// full table of idle sessions does not refuse live clients. A non-empty
+// id requests that exact session id (the gateway's cross-replica
+// namespace); an empty id selects the next sequential server-local one,
+// skipping ids recovered from disk. Creating an id that is already live
+// fails with ErrSessionExists. The create blob (the session's options) is
+// WAL-logged before the caller sees the id, so an acknowledged create can
+// be rebuilt after a crash even if the session never spilled.
 func (t *sessionTable) create(opts core.PredictorOptions, id string) (*Session, error) {
-	if t.str != nil {
-		return t.createTiered(opts, id)
-	}
-	now := t.clk()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sweepLocked(now)
-	if id != "" {
-		if _, live := t.sessions[id]; live {
-			return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
-		}
-	}
-	if t.max > 0 && len(t.sessions) >= t.max {
-		return nil, fmt.Errorf("%w (%d live)", ErrSessionLimit, len(t.sessions))
-	}
-	if id == "" {
-		t.nextID++
-		id = fmt.Sprintf("s%d", t.nextID)
-	}
-	s := &Session{
-		id:   id,
-		opts: opts,
-		p:    t.newPredictor(opts),
-	}
-	s.touch(now)
-	t.sessions[s.id] = s
-	return s, nil
-}
-
-// createTiered registers a session in the tiered store. The create blob
-// (the session's options) is WAL-logged before the caller sees the id, so
-// an acknowledged create can be rebuilt after a crash even if the session
-// never spilled. Sequential ids skip over ids recovered from disk.
-func (t *sessionTable) createTiered(opts core.PredictorOptions, id string) (*Session, error) {
-	now := t.clk()
 	blob, err := json.Marshal(SessionOptions{MAPOnly: opts.MAPOnly, DisablePruning: opts.DisablePruning})
 	if err != nil {
 		return nil, err
 	}
-	p := t.newPredictor(opts)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.max > 0 && t.str.Count() >= t.max {
-		return nil, fmt.Errorf("%w (%d live)", ErrSessionLimit, t.str.Count())
+	t.sweep()
+	if n := t.str.Count(); t.max > 0 && n >= t.max {
+		return nil, fmt.Errorf("%w (%d live)", ErrSessionLimit, n)
 	}
 	requested := id != ""
 	for {
@@ -347,8 +309,7 @@ func (t *sessionTable) createTiered(opts core.PredictorOptions, id string) (*Ses
 			t.nextID++
 			id = fmt.Sprintf("s%d", t.nextID)
 		}
-		s := &Session{id: id, opts: opts, p: p}
-		s.touch(now)
+		s := t.newSession(id, opts)
 		switch err := t.str.Put(id, blob, s); {
 		case err == nil:
 			return s, nil
@@ -363,81 +324,50 @@ func (t *sessionTable) createTiered(opts core.PredictorOptions, id string) (*Ses
 	}
 }
 
-// get looks up a session and refreshes its TTL. With tiering, a cold id
-// hydrates transparently and an idle-expired session is simply refreshed —
-// demotion to disk is the janitor's job, and revisiting a demoted session
-// must never lose its predictor state.
+// get looks up a session and refreshes its TTL; a cold id hydrates
+// transparently. A session found expired is spilled and looked up again:
+// a tiered store rehydrates it from the state it was demoted with, so a
+// revisit never loses predictor state, and a memory-only store has
+// dropped it.
 func (t *sessionTable) get(id string) (*Session, bool) {
-	if t.str != nil {
-		sess, ok, hydrated, err := t.str.Get(id)
-		if err != nil || !ok {
-			return nil, false
-		}
-		if hydrated && t.onHydrate != nil {
-			t.onHydrate(sess)
-		}
-		sess.touch(t.clk())
-		return sess, true
-	}
 	now := t.clk()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.sessions[id]
-	if !ok {
-		return nil, false
+	sess, ok := t.lookup(id)
+	if ok && t.expired(sess, now) {
+		t.spill(id)
+		sess, ok = t.lookup(id)
 	}
-	if t.expired(s, now) {
-		t.dropLocked(id)
-		t.evicted++
-		return nil, false
+	if ok {
+		sess.touch(now)
 	}
-	s.touch(now)
-	return s, true
+	return sess, ok
 }
 
-// remove closes a session explicitly. The tiered path deletes across both
-// tiers with a durable tombstone, so a closed (or migrated-away) session
-// cannot resurrect from disk after a restart.
+// lookup resolves id through the store, reattaching the sink of a
+// session it hydrated.
+func (t *sessionTable) lookup(id string) (*Session, bool) {
+	sess, ok, hydrated, err := t.str.Get(id)
+	if err != nil || !ok {
+		return nil, false
+	}
+	if hydrated && t.onHydrate != nil {
+		t.onHydrate(sess)
+	}
+	return sess, true
+}
+
+// remove closes a session explicitly, across both tiers with a durable
+// tombstone, so a closed (or migrated-away) session cannot resurrect from
+// disk after a restart.
 func (t *sessionTable) remove(id string) bool {
-	if t.str != nil {
-		existed, _ := t.str.Remove(id)
-		if existed && t.onRemove != nil {
-			t.onRemove(id)
-		}
-		return existed
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.sessions[id]; !ok {
-		return false
-	}
-	t.dropLocked(id)
-	return true
-}
-
-// dropLocked deletes the session and notifies onRemove; t.mu must be held.
-func (t *sessionTable) dropLocked(id string) {
-	delete(t.sessions, id)
-	if t.onRemove != nil {
+	existed, _ := t.str.Remove(id)
+	if existed && t.onRemove != nil {
 		t.onRemove(id)
 	}
+	return existed
 }
 
-// sweep evicts every expired session and returns how many it removed.
-// The tiered variant demotes instead of destroying: an idle session's
-// state is snapshotted to the cold tier and rehydrates on its next
-// request, so TTL eviction never discards predictor state.
+// sweep spills every expired hot session and returns how many it spilled.
 func (t *sessionTable) sweep() int {
-	if t.str != nil {
-		return t.sweepTiered()
-	}
-	now := t.clk()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sweepLocked(now)
-}
-
-func (t *sessionTable) sweepTiered() int {
 	if t.ttl <= 0 {
 		return 0
 	}
@@ -451,76 +381,44 @@ func (t *sessionTable) sweepTiered() int {
 	})
 	n := 0
 	for _, id := range idle {
-		// ErrNotFound just means the session moved (request traffic or the
-		// clock hand beat us to it) — nothing to demote.
-		if err := t.str.Spill(id); err == nil {
+		if t.spill(id) {
 			n++
 		}
-	}
-	if n > 0 {
-		t.mu.Lock()
-		t.evicted += int64(n)
-		t.mu.Unlock()
 	}
 	return n
 }
 
-func (t *sessionTable) sweepLocked(now time.Time) int {
-	if t.ttl <= 0 {
-		return 0
+// spill applies the TTL rule to one session and counts the eviction.
+// ErrNotFound just means the session moved (request traffic or the clock
+// hand beat us to it) — nothing to spill.
+func (t *sessionTable) spill(id string) bool {
+	if err := t.str.Spill(id); err != nil {
+		return false
 	}
-	n := 0
-	for id, s := range t.sessions {
-		if t.expired(s, now) {
-			t.dropLocked(id)
-			t.evicted++
-			n++
-		}
-	}
-	return n
+	t.evicted.Add(1)
+	return true
 }
 
 func (t *sessionTable) expired(s *Session, now time.Time) bool {
 	return t.ttl > 0 && now.UnixNano()-s.lastUsed.Load() > int64(t.ttl)
 }
 
-// live returns the live session count — with tiering, the population
-// across both tiers.
-func (t *sessionTable) live() int {
-	if t.str != nil {
-		return t.str.Count()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.sessions)
-}
+// live returns the live session count: the population across both tiers.
+func (t *sessionTable) live() int { return t.str.Count() }
 
 // evictedCount returns the total number of TTL evictions.
-func (t *sessionTable) evictedCount() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evicted
-}
+func (t *sessionTable) evictedCount() int64 { return t.evicted.Load() }
 
-// list returns the live sessions sorted by id. The tiered variant lists
-// hot residents only: cold sessions exist as bytes on disk and cannot be
-// introspected without hydrating them, which a read-only listing must not
-// force.
+// list returns the hot sessions sorted by id — with a memory-only store,
+// every session. Cold sessions exist as bytes on disk and cannot be
+// introspected without hydrating them, which a read-only listing must
+// not force.
 func (t *sessionTable) list() []*Session {
 	var out []*Session
-	if t.str != nil {
-		t.str.EachHot(func(id string, s *Session) bool {
-			out = append(out, s)
-			return true
-		})
-	} else {
-		t.mu.Lock()
-		out = make([]*Session, 0, len(t.sessions))
-		for _, s := range t.sessions {
-			out = append(out, s)
-		}
-		t.mu.Unlock()
-	}
+	t.str.EachHot(func(id string, s *Session) bool {
+		out = append(out, s)
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return sessionLess(out[i].id, out[j].id) })
 	return out
 }

@@ -18,8 +18,8 @@ import (
 // acknowledged label survives a crash via WAL replay.
 type TierOptions struct {
 	// SpillDir is the directory holding the per-shard segment/WAL files.
-	// Empty disables tiering entirely: sessions live in memory and die
-	// with the process, exactly as without this option.
+	// Empty disables tiering entirely: sessions live in a memory-only
+	// store bounded by Options.MaxSessions and die with the process.
 	SpillDir string
 	// HotSessions bounds the in-memory hot set; <= 0 selects 1024.
 	HotSessions int
@@ -34,7 +34,13 @@ type TierOptions struct {
 
 func (t TierOptions) enabled() bool { return t.SpillDir != "" }
 
+// withDefaults fills in the hot-set bound when tiering is enabled and
+// clears every setting when it is not, so a WAL is on only with a spill
+// directory.
 func (t TierOptions) withDefaults() TierOptions {
+	if !t.enabled() {
+		return TierOptions{}
+	}
 	if t.HotSessions <= 0 {
 		t.HotSessions = 1024
 	}
@@ -70,11 +76,10 @@ func (s *Server) tierCallbacks() store.Callbacks[*Session] {
 				return nil, fmt.Errorf("serve: hydrate %q: %w", id, err)
 			}
 			opts := core.PredictorOptions{MAPOnly: snap.Options.MAPOnly, DisablePruning: snap.Options.DisablePruning}
-			sess := &Session{id: id, opts: opts, p: s.newPredictor(opts)}
+			sess := s.table.newSession(id, opts)
 			if err := sess.p.Restore(snap.State); err != nil {
 				return nil, fmt.Errorf("serve: hydrate %q: %w", id, err)
 			}
-			sess.touch(s.clk())
 			return sess, nil
 		},
 		Create: func(id string, blob []byte) (*Session, error) {
@@ -84,10 +89,7 @@ func (s *Server) tierCallbacks() store.Callbacks[*Session] {
 					return nil, fmt.Errorf("serve: recreate %q: %w", id, err)
 				}
 			}
-			opts := core.PredictorOptions{MAPOnly: o.MAPOnly, DisablePruning: o.DisablePruning}
-			sess := &Session{id: id, opts: opts, p: s.newPredictor(opts)}
-			sess.touch(s.clk())
-			return sess, nil
+			return s.table.newSession(id, core.PredictorOptions{MAPOnly: o.MAPOnly, DisablePruning: o.DisablePruning}), nil
 		},
 		Replay: func(id string, sess *Session, blob []byte) (int, error) {
 			var recs []data.Record
@@ -120,14 +122,19 @@ func (s *Server) tierCallbacks() store.Callbacks[*Session] {
 	}
 }
 
-// openTier opens the tiered store and wires it into the session table:
-// lookups hydrate through it, TTL eviction demotes to it, and freshly
-// hydrated sessions get their introspection sink reattached.
-func (s *Server) openTier() error {
-	tier := s.opts.Tier.withDefaults()
+// openStore opens the session store and wires it into the session table:
+// lookups hydrate through it, TTL eviction spills to it, and freshly
+// hydrated sessions get their introspection sink reattached. Without a
+// spill directory the store is memory-only, and its hot set is the whole
+// session population, bounded by MaxSessions.
+func (s *Server) openStore() error {
+	tier, hot := s.opts.Tier, s.opts.MaxSessions
+	if tier.enabled() {
+		hot = tier.HotSessions
+	}
 	st, err := store.Open(store.Config{
 		Dir:            tier.SpillDir,
-		HotLimit:       tier.HotSessions,
+		HotLimit:       hot,
 		Shards:         tier.Shards,
 		WAL:            tier.WAL,
 		Clock:          s.opts.Clock,
@@ -135,7 +142,7 @@ func (s *Server) openTier() error {
 		HydrateObserve: s.metrics.hydrateObserved,
 	}, s.tierCallbacks())
 	if err != nil {
-		return fmt.Errorf("serve: open session tier: %w", err)
+		return fmt.Errorf("serve: open session store: %w", err)
 	}
 	s.store = st
 	s.table.str = st

@@ -124,6 +124,40 @@ func TestEvictedSessionRehydrates(t *testing.T) {
 			t.Fatalf("metrics exposition missing %q", want)
 		}
 	}
+
+	// Idle past the TTL again and classify before any sweep: the lookup
+	// finds the session expired, spills it, and rehydrates it, so the
+	// answer still comes from the state the twin holds.
+	fake.Advance(2 * time.Minute)
+	before := s.store.Stats()
+	got, err := c.Classify(created.ID, records[:4], false)
+	if err != nil {
+		t.Fatalf("classify of an expired, unswept session: %v", err)
+	}
+	if st := s.store.Stats(); st.Spills != before.Spills+1 || st.Hydrates != before.Hydrates+1 {
+		t.Fatalf("stats %+v after %+v: want one more spill and one more hydration", st, before)
+	}
+	recs, err := decodeRecords(s.model.Schema, records[:4], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := s.model.NewPredictor()
+	if err := twin.Restore(twinState(t, s.model, records, classes)); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if want := twin.Predict(r); got.Predictions[i] != want {
+			t.Fatalf("prediction %d = %d, twin predicts %d", i, got.Predictions[i], want)
+		}
+	}
+	if concept, _ := twin.CurrentConcept(); got.MAPConcept != concept {
+		t.Fatalf("MAP concept = %d, twin's is %d", got.MAPConcept, concept)
+	}
+	sess, ok = s.table.get(created.ID)
+	if !ok {
+		t.Fatal("session lost after the lookup-time spill")
+	}
+	requireBitIdentical(t, sess.State(), twinState(t, s.model, records, classes))
 }
 
 // TestServeCrashRecoveryWAL crashes a serving process (simulated kill -9

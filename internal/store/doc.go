@@ -1,12 +1,15 @@
-// Package store is the tiered session store behind internal/serve's
-// session table: a bounded in-memory hot set over an on-disk cold tier,
-// built so one box can hold millions of predictor sessions while only the
-// working set pays for RAM.
+// Package store is the session store behind internal/serve's session
+// table: a bounded in-memory hot set over an on-disk cold tier, built so
+// one box can hold millions of predictor sessions while only the working
+// set pays for RAM. Without a directory it is the hot set alone (see
+// Memory-only mode).
 //
 // # Tiers
 //
 // The hot tier is a map plus a clock ring. Every resident session owns one
-// ring slot with a reference bit; Get sets the bit, and when Put finds the
+// ring slot with a reference bit; Get sets the bit. Slots emptied by
+// Remove, Spill, or a failed Put go on a free list that placement drains
+// first, so a hot set below its bound never evicts. When Put finds the
 // tier full the clock hand sweeps the ring giving each referenced entry a
 // second chance (clearing its bit) until it finds an unreferenced victim,
 // which is spilled: the value is sealed through the caller's Seal
@@ -81,6 +84,18 @@
 // poison flag under shard.mu before writing, so a writer that was
 // already blocked on the file lock cannot fsync frames past the crash
 // point.
+//
+// # Memory-only mode
+//
+// Open with an empty Config.Dir returns a memory-only store: the hot tier
+// alone, with no files, no recovery, and no cold tier. Put, Remove,
+// Persist, LogObserve, and Close do no I/O, and a WAL cannot be enabled.
+// A spill — TTL-idle or clock-hand — seals the value, drops it, and calls
+// OnSpill; a later Get of the id finds nothing. The ring grows by append
+// rather than being sized to HotLimit up front, so a caller can bound the
+// whole population with a large HotLimit (internal/serve passes
+// MaxSessions) and pay only for the sessions it holds. Below that bound,
+// the free list guarantees no live value is ever dropped to make room.
 //
 // # Crash simulation
 //

@@ -13,7 +13,9 @@ import (
 
 // TestPropHotSetNeverExceedsBound drives randomized Put/Get/Remove/Spill
 // traffic over many seeds and checks after every operation that the hot
-// tier never exceeds its bound and that no live id is ever lost.
+// tier never exceeds its bound, that no live id is ever lost, and that a
+// Put or a hydrating Get that starts with Hot < HotLimit spills nothing
+// (a freed ring slot is reused before any resident is evicted).
 func TestPropHotSetNeverExceedsBound(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -28,7 +30,9 @@ func TestPropHotSetNeverExceedsBound(t *testing.T) {
 		live := map[string]bool{}
 		for op := 0; op < 200; op++ {
 			id := fmt.Sprintf("s%d", rng.Intn(20))
-			switch rng.Intn(4) {
+			before := s.Stats()
+			kind := rng.Intn(4)
+			switch kind {
 			case 0:
 				err := s.Put(id, []byte(id), &testVal{opts: id})
 				if live[id] && err != store.ErrExists {
@@ -63,6 +67,10 @@ func TestPropHotSetNeverExceedsBound(t *testing.T) {
 				}
 			}
 			st := s.Stats()
+			if kind <= 1 && before.Hot < int64(hotLimit) && st.Spills != before.Spills {
+				t.Logf("seed %d: op %d spilled with %d of %d hot slots in use", seed, kind, before.Hot, hotLimit)
+				return false
+			}
 			if st.Hot > int64(hotLimit) {
 				t.Logf("seed %d: hot=%d exceeds bound %d", seed, st.Hot, hotLimit)
 				return false

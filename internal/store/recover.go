@@ -15,30 +15,33 @@ import (
 // create, plus any newer logged observes), and the result is
 // checkpointed — a fresh compacted segment replaces the old one and the
 // WAL is truncated. Every recovered id starts cold; the hot tier fills
-// as requests arrive.
+// as requests arrive. An empty cfg.Dir opens a memory-only store, which
+// has nothing to recover.
 func Open[V any](cfg Config, cb Callbacks[V]) (*Store[V], error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("store: Config.Dir is required")
-	}
 	if cfg.HotLimit < 1 {
 		return nil, fmt.Errorf("store: Config.HotLimit must be >= 1 (got %d)", cfg.HotLimit)
 	}
+	if cfg.Dir == "" && cfg.WAL {
+		return nil, fmt.Errorf("store: Config.WAL needs a Config.Dir")
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
-	}
-	if cb.Snapshot == nil || cb.Hydrate == nil || cb.Create == nil || cb.Replay == nil {
-		return nil, fmt.Errorf("store: Snapshot, Hydrate, Create, and Replay callbacks are required")
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
 	}
 	s := &Store[V]{
 		cfg:  cfg,
 		cb:   cb,
 		clk:  cfg.Clock.OrWall(),
 		hot:  make(map[string]*hotEntry[V]),
-		ring: make([]*hotEntry[V], 0, cfg.HotLimit),
 		cold: make(map[string]coldRef),
+	}
+	if s.memoryOnly() {
+		return s, nil
+	}
+	if cb.Snapshot == nil || cb.Hydrate == nil || cb.Create == nil || cb.Replay == nil {
+		return nil, fmt.Errorf("store: Snapshot, Hydrate, Create, and Replay callbacks are required")
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, err
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := s.recoverShard(i)

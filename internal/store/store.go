@@ -25,16 +25,18 @@ var (
 	ErrNotFound = errors.New("store: session not found")
 )
 
-// Config configures a tiered store.
+// Config configures a store: tiered with a Dir, memory-only without.
 type Config struct {
-	// Dir is the spill directory holding the per-shard tier files.
+	// Dir is the spill directory holding the per-shard tier files. Empty
+	// opens a memory-only store: no files and no cold tier (see the
+	// package comment).
 	Dir string
 	// HotLimit bounds the in-memory hot set (minimum 1).
 	HotLimit int
 	// Shards is the number of segment/WAL file pairs (default 8).
 	Shards int
 	// WAL enables the write-ahead log of acknowledged observe batches.
-	// Without it, only spilled snapshots survive a restart.
+	// Without it, only spilled snapshots survive a restart. It needs Dir.
 	WAL bool
 	// Clock times hydration (nil falls back to the wall clock).
 	Clock clock.Clock
@@ -52,6 +54,8 @@ type Config struct {
 type Callbacks[V any] struct {
 	// Snapshot encodes v for the segment tier and reports its observe
 	// sequence (how many observe records are folded into the snapshot).
+	// Snapshot, Hydrate, Create, and Replay are required with a Dir; a
+	// memory-only store never calls them.
 	Snapshot func(id string, v V) (data []byte, seq uint64, err error)
 	// Hydrate decodes a snapshot back into a value.
 	Hydrate func(id string, data []byte) (V, error)
@@ -75,8 +79,9 @@ type Callbacks[V any] struct {
 	// segment-append error): v stays hot and must accept mutations again.
 	// Called with store locks held.
 	Unseal func(id string, v V)
-	// OnSpill, when set, is notified after v has left the hot tier
-	// (metrics teardown). Called with store locks held.
+	// OnSpill, when set, is notified after v has left the hot tier —
+	// demoted to disk, or dropped by a memory-only store (metrics
+	// teardown). Called with store locks held.
 	OnSpill func(id string, v V)
 }
 
@@ -101,18 +106,21 @@ type coldRef struct {
 }
 
 // Store is a tiered session store: a bounded hot map+clock ring over
-// per-shard segment/WAL files. See the package comment for the tiering
-// and durability contract.
+// per-shard segment/WAL files, or the hot tier alone in memory-only mode.
+// See the package comment for the tiering and durability contract.
 type Store[V any] struct {
 	cfg Config
 	cb  Callbacks[V]
 	clk clock.Clock
 
-	// mu guards hot, ring, hand, cold, and closed. Lock order:
+	// mu guards hot, ring, free, hand, cold, and closed. Lock order:
 	// store.mu -> caller's per-value locks (inside callbacks) -> shard.mu.
-	mu     sync.RWMutex
-	hot    map[string]*hotEntry[V]
-	ring   []*hotEntry[V]
+	mu   sync.RWMutex
+	hot  map[string]*hotEntry[V]
+	ring []*hotEntry[V]
+	// free lists the emptied (nil) ring slots, which place fills before
+	// the hand evicts anyone: a hot set below its bound spills nothing.
+	free   []int
 	hand   int
 	cold   map[string]coldRef
 	closed bool
@@ -157,6 +165,9 @@ func (s *Store[V]) shardFor(id string) (*shard, int) {
 }
 
 func (s *Store[V]) markCrashed() { s.crashed.Store(true) }
+
+// memoryOnly reports a store opened without a Dir: no files, no cold tier.
+func (s *Store[V]) memoryOnly() bool { return s.cfg.Dir == "" }
 
 // failed returns the poisoning error, if any.
 func (s *Store[V]) failed() error {
@@ -215,6 +226,10 @@ func (s *Store[V]) Put(id string, createData []byte, v V) error {
 	if err := s.place(e); err != nil {
 		return err
 	}
+	if s.memoryOnly() {
+		s.hot[id] = e
+		return nil
+	}
 	sh, _ := s.shardFor(id)
 	sh.mu.Lock()
 	err := ErrInjectedCrash
@@ -230,16 +245,24 @@ func (s *Store[V]) Put(id string, createData []byte, v V) error {
 		// The create never became durable; release the claimed ring slot
 		// so the failed id does not occupy hot capacity. A victim spilled
 		// by place stays validly cold.
-		s.ring[e.slot] = nil
+		s.freeSlot(e.slot)
 		return err
 	}
 	s.hot[id] = e
 	return nil
 }
 
-// place finds a ring slot for e, evicting a second-chance victim when the
-// ring is full. Callers hold the write lock.
+// place finds a ring slot for e: a freed slot first, then a new one while
+// the ring is below HotLimit, and only then a second-chance victim. Every
+// nil slot is on the free list, so the hand sweeps a full ring of
+// residents. Callers hold the write lock.
 func (s *Store[V]) place(e *hotEntry[V]) error {
+	if n := len(s.free); n > 0 {
+		e.slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.ring[e.slot] = e
+		return nil
+	}
 	if len(s.ring) < s.cfg.HotLimit {
 		e.slot = len(s.ring)
 		s.ring = append(s.ring, e)
@@ -249,11 +272,6 @@ func (s *Store[V]) place(e *hotEntry[V]) error {
 		slot := s.hand
 		s.hand = (s.hand + 1) % len(s.ring)
 		cand := s.ring[slot]
-		if cand == nil {
-			e.slot = slot
-			s.ring[slot] = e
-			return nil
-		}
 		if cand.ref.Load() {
 			cand.ref.Store(false)
 			continue
@@ -267,6 +285,12 @@ func (s *Store[V]) place(e *hotEntry[V]) error {
 	}
 }
 
+// freeSlot empties a ring slot and queues it for the next place.
+func (s *Store[V]) freeSlot(slot int) {
+	s.ring[slot] = nil
+	s.free = append(s.free, slot)
+}
+
 // spillLocked moves e's value to the segment tier: seal, snapshot,
 // append (unsynced — the WAL is the durability root), index, release.
 // Sealing comes strictly first: Seal takes the value's own lock, so a
@@ -274,15 +298,32 @@ func (s *Store[V]) place(e *hotEntry[V]) error {
 // below (and lands inside it) or sees the seal and re-resolves through
 // Get — snapshotting first would open a window where an acknowledged
 // mutation lands in the live value after its bytes were captured and is
-// silently lost on the next hydration. The ring slot is left for the
-// caller to reuse or clear. Callers hold the write lock.
+// silently lost on the next hydration. A memory-only store seals and
+// releases: the value is dropped. The ring slot is left for the caller
+// to reuse or free. Callers hold the write lock.
 func (s *Store[V]) spillLocked(e *hotEntry[V]) error {
 	if s.cb.Seal != nil {
 		s.cb.Seal(e.id, e.v)
 	}
+	if !s.memoryOnly() {
+		if err := s.writeCold(e); err != nil {
+			s.unseal(e)
+			return err
+		}
+	}
+	delete(s.hot, e.id)
+	s.spills.Add(1)
+	if s.cb.OnSpill != nil {
+		s.cb.OnSpill(e.id, e.v)
+	}
+	return nil
+}
+
+// writeCold appends e's snapshot to its shard's segment and indexes it
+// in the cold tier. Callers hold the write lock.
+func (s *Store[V]) writeCold(e *hotEntry[V]) error {
 	data, seq, err := s.cb.Snapshot(e.id, e.v)
 	if err != nil {
-		s.unseal(e)
 		return fmt.Errorf("store: snapshot %q: %w", e.id, err)
 	}
 	sh, shi := s.shardFor(e.id)
@@ -290,15 +331,9 @@ func (s *Store[V]) spillLocked(e *hotEntry[V]) error {
 	off, flen, err := sh.appendSeg(record{kind: recSnapshot, id: e.id, seq: seq, data: data}, s.cfg.Fault)
 	sh.mu.Unlock()
 	if err != nil {
-		s.unseal(e)
 		return err
 	}
 	s.cold[e.id] = coldRef{shard: shi, off: off, flen: flen, seq: seq}
-	delete(s.hot, e.id)
-	s.spills.Add(1)
-	if s.cb.OnSpill != nil {
-		s.cb.OnSpill(e.id, e.v)
-	}
 	return nil
 }
 
@@ -406,14 +441,14 @@ func (s *Store[V]) Remove(id string) (existed bool, err error) {
 	}
 	if e, ok := s.hot[id]; ok {
 		existed = true
-		s.ring[e.slot] = nil
+		s.freeSlot(e.slot)
 		delete(s.hot, id)
 	} else if _, ok := s.cold[id]; ok {
 		existed = true
 		delete(s.cold, id)
 	}
-	if !existed {
-		return false, nil
+	if !existed || s.memoryOnly() {
+		return existed, nil
 	}
 	sh, _ := s.shardFor(id)
 	sh.mu.Lock()
@@ -433,7 +468,8 @@ func (s *Store[V]) Remove(id string) (existed bool, err error) {
 }
 
 // Spill demotes a hot id to the cold tier — the TTL-idle path. The value
-// survives on disk and rehydrates on the next Get.
+// survives on disk and rehydrates on the next Get; a memory-only store
+// drops it.
 func (s *Store[V]) Spill(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -447,13 +483,14 @@ func (s *Store[V]) Spill(id string) error {
 	if err := s.spillLocked(e); err != nil {
 		return err
 	}
-	s.ring[e.slot] = nil
+	s.freeSlot(e.slot)
 	return nil
 }
 
 // Persist appends a durable (fsync'd) snapshot of a hot id without
 // demoting it — the admin-restore path's guarantee that a restored
-// session survives a crash that follows the 200.
+// session survives a crash that follows the 200. A memory-only store has
+// nothing to persist to.
 func (s *Store[V]) Persist(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -463,6 +500,9 @@ func (s *Store[V]) Persist(id string) error {
 	e, ok := s.hot[id]
 	if !ok {
 		return ErrNotFound
+	}
+	if s.memoryOnly() {
+		return nil
 	}
 	data, seq, err := s.cb.Snapshot(e.id, e.v)
 	if err != nil {
@@ -490,6 +530,9 @@ func (s *Store[V]) LogObserve(id string, baseSeq uint64, data []byte) error {
 	}
 	if box, _ := s.walErrForTest.Load().(walErrBox); box.err != nil {
 		return box.err
+	}
+	if !s.cfg.WAL {
+		return nil
 	}
 	sh, _ := s.shardFor(id)
 	sh.mu.Lock()
@@ -531,7 +574,7 @@ func (s *Store[V]) EachCold(fn func(id string) bool) {
 // Close checkpoints and shuts the store down: every hot resident is
 // snapshotted to its segment, segments are fsync'd, and only then is the
 // WAL truncated — so a clean shutdown restarts from compact snapshots
-// with an empty log.
+// with an empty log. A memory-only store just stops serving.
 func (s *Store[V]) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -539,8 +582,9 @@ func (s *Store[V]) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.crashed.Load() {
-		// CrashForTest already truncated and closed the files.
+	if s.crashed.Load() || s.memoryOnly() {
+		// CrashForTest already truncated and closed the files, or there
+		// are none.
 		return nil
 	}
 	var firstErr error

@@ -3,6 +3,7 @@ package store_test
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -497,6 +498,92 @@ func TestSpillSealsBeforeSnapshot(t *testing.T) {
 	got, _ := mustGet(t, s, "a")
 	if !sameRecs(got.recs, []uint64{42}) {
 		t.Fatalf("batch acknowledged during the spill was lost: recs = %v, want [42]", got.recs)
+	}
+}
+
+// TestFreedSlotReusedBeforeEviction is the clock-ring regression: a slot
+// emptied by Remove must be refilled before the hand evicts a resident.
+// With HotLimit 2, putting a, b, c spills a; removing c frees its slot,
+// so putting d must spill nothing and leave both slots in use.
+func TestFreedSlotReusedBeforeEviction(t *testing.T) {
+	var spilled []string
+	s := mustOpen(t, testConfig(t, 2), testCallbacks(&spilled))
+	defer s.Close()
+	for _, id := range []string{"a", "b", "c"} {
+		if err := s.Put(id, nil, &testVal{opts: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if existed, err := s.Remove("c"); !existed || err != nil {
+		t.Fatalf("Remove(c): existed=%v err=%v", existed, err)
+	}
+	if err := s.Put("d", nil, &testVal{opts: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Hot != 2 || len(spilled) != 1 {
+		t.Fatalf("after Put(d): hot=%d spilled=%v, want 2 hot and only a spilled", st.Hot, spilled)
+	}
+}
+
+// TestMemoryOnlyStore drives a store opened without a Dir: values live
+// in memory only, a spill seals and drops the value and fires OnSpill,
+// and Persist, LogObserve, and Close succeed with no files behind them.
+func TestMemoryOnlyStore(t *testing.T) {
+	var spilled []string
+	s := mustOpen(t, store.Config{HotLimit: 4}, testCallbacks(&spilled))
+	a := &testVal{opts: "a"}
+	if err := s.Put("a", nil, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a", nil, &testVal{}); err != store.ErrExists {
+		t.Fatalf("duplicate Put: %v, want ErrExists", err)
+	}
+	if err := s.Put("b", nil, &testVal{opts: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Persist("a"); err != nil {
+		t.Fatalf("Persist: %v", err)
+	}
+	if err := s.LogObserve("a", 0, encodeBatch([]uint64{1})); err != nil {
+		t.Fatalf("LogObserve: %v", err)
+	}
+	if err := s.Spill("a"); err != nil {
+		t.Fatalf("Spill: %v", err)
+	}
+	if !a.sealed || len(spilled) != 1 || spilled[0] != "a" {
+		t.Fatalf("spill of a: sealed=%v OnSpill=%v, want sealed and [a]", a.sealed, spilled)
+	}
+	if _, ok, _, err := s.Get("a"); ok || err != nil {
+		t.Fatalf("Get(a) after spill: ok=%v err=%v, want dropped", ok, err)
+	}
+	if st := s.Stats(); st.Hot != 1 || st.Cold != 0 || st.Spills != 1 {
+		t.Fatalf("Stats: %+v, want 1 hot, 0 cold, 1 spill", st)
+	}
+	if existed, err := s.Remove("b"); !existed || err != nil {
+		t.Fatalf("Remove(b): existed=%v err=%v", existed, err)
+	}
+	if n := s.Count(); n != 0 {
+		t.Fatalf("Count = %d after removes, want 0", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, _, _, err := s.Get("b"); err != store.ErrClosed {
+		t.Fatalf("Get after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestMemoryOnlyOpen: a memory-only store refuses a WAL, which would have
+// nowhere to live, and needs no tier callbacks. Its ring grows as values
+// arrive, so a huge HotLimit costs nothing up front.
+func TestMemoryOnlyOpen(t *testing.T) {
+	if _, err := store.Open(store.Config{HotLimit: 4, WAL: true}, testCallbacks(nil)); err == nil {
+		t.Fatal("Open accepted a WAL without a Dir")
+	}
+	s := mustOpen(t, store.Config{HotLimit: math.MaxInt}, store.Callbacks[*testVal]{})
+	defer s.Close()
+	if err := s.Put("a", nil, &testVal{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -43,9 +43,10 @@ go test -race ./...
 # ceilings (similarityEdge, zero-copy view iteration, the flight
 # recorder's disabled/unsampled 0-alloc paths, the tree grower's
 # grown-nodes-only allocations, the exposition renderer's and the JSON
-# request decoder's constant allocations) and the benchmark smoke run
-# without it.
-step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store, internal/serve)"
+# request decoder's constant allocations, and the zero-allocation hot
+# session lookup over a memory-only and a tiered store) and the
+# benchmark smoke run without it.
+step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store, internal/serve incl. session lookup)"
 go test ./internal/cluster ./internal/data ./internal/tree -run Allocs -count=1
 go test ./internal/obs -run Allocs -count=1
 go test ./internal/store -run Allocs -count=1
