@@ -47,12 +47,11 @@ func TestFindsSeededViolations(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{filepath.Join(root, "internal", "analysis", "testdata", "determinism"),
 		filepath.Join(root, "internal", "analysis", "testdata", "seedplumb"),
-		filepath.Join(root, "internal", "analysis", "testdata", "floatcmp"),
-		filepath.Join(root, "internal", "analysis", "testdata", "syncmisuse")}, &stdout, &stderr)
+		filepath.Join(root, "internal", "analysis", "testdata", "floatcmp")}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("want exit 1 on seeded violations, got %d\n%s%s", code, stdout.String(), stderr.String())
 	}
-	for _, name := range []string{"determinism", "seedplumb", "floatcmp", "syncmisuse"} {
+	for _, name := range []string{"determinism", "seedplumb", "floatcmp"} {
 		if !strings.Contains(stdout.String(), "["+name+"]") {
 			t.Errorf("no %s finding in CLI output", name)
 		}
@@ -79,7 +78,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"determinism", "seedplumb", "floatcmp", "syncmisuse"} {
+	for _, name := range []string{"determinism", "seedplumb", "floatcmp"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s", name)
 		}

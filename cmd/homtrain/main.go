@@ -10,9 +10,11 @@
 //	homtrain -scale [-scale-hist 3000,10000,30000] [-scale-workers 1,2,4,8] \
 //	         [-scale-out BENCH_scale.json] [-block 10] [-seed 1] [-learner tree]
 //
-// -trace writes the offline pipeline's phase spans as Chrome trace-event
-// JSON (load it at https://ui.perfetto.dev). -bench-out writes per-phase
-// wall times and span counts as JSON (the committed BENCH_pipeline.json).
+// -trace writes the offline pipeline's phase spans as a flight-recorder
+// dump, the format POST /admin/flightdump writes; render it with
+// `homtrace trace.json`. -bench-out writes the same spans summarized per
+// phase — span counts, wall times and counts — as JSON (the committed
+// BENCH_pipeline.json).
 //
 // -scale skips the CSV input entirely: it sweeps history size × worker
 // count over the synthetic Stagger stream, measuring the agglomeration
@@ -41,7 +43,7 @@ func main() {
 	block := flag.Int("block", 10, "concept-clustering block size (paper: 2-20)")
 	seed := flag.Int64("seed", 1, "random seed")
 	learner := flag.String("learner", "tree", "base learner: tree or bayes")
-	tracePath := flag.String("trace", "", "write pipeline phase spans as Chrome trace-event JSON")
+	tracePath := flag.String("trace", "", "write pipeline phase spans as a flight-recorder dump (render with homtrace)")
 	benchOut := flag.String("bench-out", "", "write per-phase wall times as JSON")
 	maxprocs := flag.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS for the build (0 keeps the default)")
 	reuse := flag.Float64("reuse", core.DefaultOptions().ReuseRatio, "classifier-reuse ratio (§II-D); 0 disables reuse")
@@ -102,10 +104,10 @@ func main() {
 
 	opts := baseOpts
 
-	var tracer *obs.Tracer
+	var rec *obs.Recorder
 	if *tracePath != "" || *benchOut != "" {
-		tracer = obs.NewTracer(nil)
-		opts.Tracer = tracer
+		rec = buildRecorder(*seed)
+		opts.Recorder = rec
 	}
 
 	m, err := core.Build(hist, opts)
@@ -116,13 +118,13 @@ func main() {
 		fail(err)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, tracer); err != nil {
+		if err := writeTrace(*tracePath, rec); err != nil {
 			fail(err)
 		}
-		fmt.Printf("phase trace written to %s (load at https://ui.perfetto.dev)\n", *tracePath)
+		fmt.Printf("phase trace written to %s (render with: homtrace %s)\n", *tracePath, *tracePath)
 	}
 	if *benchOut != "" {
-		if err := writeBench(*benchOut, m, hist.Len(), *block, *seed, *learner, tracer); err != nil {
+		if err := writeBench(*benchOut, m, hist.Len(), *block, *seed, *learner, rec); err != nil {
 			fail(err)
 		}
 		fmt.Printf("pipeline bench written to %s\n", *benchOut)
@@ -136,12 +138,19 @@ func main() {
 	fmt.Printf("model written to %s\n", *out)
 }
 
-func writeTrace(path string, tr *obs.Tracer) error {
+// buildRecorder returns the flight recorder for one traced build. The
+// build records from one goroutine, so one shard holds all 1<<14 slots;
+// a build that laps them makes Summarize fail rather than under-count.
+func buildRecorder(seed int64) *obs.Recorder {
+	return obs.NewRecorder(obs.FlightConfig{Proc: "homtrain", Slots: 1 << 14, Shards: 1, Seed: seed})
+}
+
+func writeTrace(path string, rec *obs.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
+	if err := rec.WriteDump(f, "build"); err != nil {
 		f.Close()
 		return err
 	}
@@ -149,8 +158,8 @@ func writeTrace(path string, tr *obs.Tracer) error {
 }
 
 // pipelineBench is the BENCH_pipeline.json schema: the build configuration
-// and the tracer's per-phase aggregate (span counts, wall seconds, summed
-// span args).
+// and the recorded spans' per-phase aggregate (span counts, wall seconds,
+// summed span args).
 type pipelineBench struct {
 	Config struct {
 		HistoryRecords int    `json:"history_records"`
@@ -158,22 +167,30 @@ type pipelineBench struct {
 		Seed           int64  `json:"seed"`
 		Learner        string `json:"learner"`
 		GoMaxProcs     int    `json:"gomaxprocs"`
+		NumCPU         int    `json:"num_cpu"`
+		GoVersion      string `json:"go_version"`
 	} `json:"config"`
 	Concepts       int                `json:"concepts"`
 	ElapsedSeconds float64            `json:"elapsed_seconds"`
 	Phases         []obs.PhaseSummary `json:"phases"`
 }
 
-func writeBench(path string, m *core.Model, records, block int, seed int64, learner string, tr *obs.Tracer) error {
+func writeBench(path string, m *core.Model, records, block int, seed int64, learner string, rec *obs.Recorder) error {
+	phases, err := obs.Summarize(rec.Snapshot("build"))
+	if err != nil {
+		return err
+	}
 	var b pipelineBench
 	b.Config.HistoryRecords = records
 	b.Config.Block = block
 	b.Config.Seed = seed
 	b.Config.Learner = learner
 	b.Config.GoMaxProcs = runtime.GOMAXPROCS(0)
+	b.Config.NumCPU = runtime.NumCPU()
+	b.Config.GoVersion = runtime.Version()
 	b.Concepts = m.NumConcepts()
 	b.ElapsedSeconds = m.Stats.Elapsed.Seconds()
-	b.Phases = tr.Summarize()
+	b.Phases = phases
 	out, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {
 		return err

@@ -107,7 +107,7 @@ func sameAssignments(a, b []int) bool {
 	return true
 }
 
-// mergeSeconds sums the agglomeration phases from a build's span tree.
+// mergeSeconds sums the agglomeration phases from a build's phase summary.
 func mergeSeconds(phases []obs.PhaseSummary) float64 {
 	total := 0.0
 	for _, p := range phases {
@@ -123,11 +123,15 @@ func mergeSeconds(phases []obs.PhaseSummary) float64 {
 func buildScaleRun(hist *data.Dataset, opts core.Options, engine string, workers, maxprocs int) (scaleRun, []int, error) {
 	prev := runtime.GOMAXPROCS(maxprocs)
 	defer runtime.GOMAXPROCS(prev)
-	tracer := obs.NewTracer(nil)
-	opts.Tracer = tracer
+	rec := buildRecorder(opts.Seed)
+	opts.Recorder = rec
 	opts.Workers = workers
 	opts.ReferenceEngine = engine == "reference"
 	m, err := core.Build(hist, opts)
+	if err != nil {
+		return scaleRun{}, nil, err
+	}
+	phases, err := obs.Summarize(rec.Snapshot("build"))
 	if err != nil {
 		return scaleRun{}, nil, err
 	}
@@ -136,7 +140,7 @@ func buildScaleRun(hist *data.Dataset, opts core.Options, engine string, workers
 		Engine:         engine,
 		Workers:        workers,
 		GoMaxProcs:     maxprocs,
-		MergeSeconds:   mergeSeconds(tracer.Summarize()),
+		MergeSeconds:   mergeSeconds(phases),
 		TotalSeconds:   m.Stats.Elapsed.Seconds(),
 		Concepts:       m.NumConcepts(),
 		ModelsTrained:  m.Stats.Clustering.ModelsTrained,

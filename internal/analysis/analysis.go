@@ -4,9 +4,10 @@
 // transition estimation, active-probability tracking — is only reproducible
 // when every stage is bit-for-bit deterministic under a seed, so the things
 // Go makes easy to get wrong silently (global math/rand state, wall-clock
-// reads, map-iteration order, copied locks, races, lock-order inversions,
-// hot-path allocations, silent snapshot-format drift) are checked
-// mechanically by `go run ./cmd/homlint ./...` rather than by convention.
+// reads, map-iteration order, lock-order inversions, hot-path allocations,
+// silent snapshot-format drift) are checked mechanically by
+// `go run ./cmd/homlint ./...` rather than by convention; copied locks are
+// left to `go vet`'s copylocks check.
 //
 // The v2 engine is whole-module and flow-aware. A Loader checks every
 // package of the module in dependency order, so intra-module imports carry
@@ -461,7 +462,6 @@ func All() []Analyzer {
 		&Determinism{},
 		&SeedPlumb{},
 		&FloatCmp{},
-		&SyncMisuse{},
 		&SpanEnd{},
 		&TraceCtx{},
 		&SleepLoop{},

@@ -105,7 +105,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{"determinism", []string{"determinism"}},
 		{"seedplumb", []string{"seedplumb"}},
 		{"floatcmp", []string{"floatcmp"}},
-		{"syncmisuse", []string{"syncmisuse"}},
 		{"spanend", []string{"spanend"}},
 		{"tracectx", []string{"tracectx"}},
 		{"sleeploop", []string{"sleeploop"}},

@@ -3,21 +3,22 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
-// SpanEnd flags obs tracer spans that are started but may never be ended
-// in the starting function. An unended span renders with a bogus
-// duration-so-far in Snapshot and never closes in the Chrome trace export,
-// so the invariant is: whoever calls StartSpan either ends the span in the
-// same function (defer End, or a plain End that no return statement can
-// bypass) or visibly hands it off (returns it, stores it, passes it on).
+// SpanEnd flags flight-recorder spans that are started but may never be
+// ended in the starting function. A span reaches the ring only at End, so
+// an unended span is silently missing from every dump, and with it every
+// count the span or its instant children would have reported. The
+// invariant is: whoever starts a span either ends it in the same function
+// (defer End, or a plain End that no return statement can bypass) or
+// visibly hands it off (returns it, stores it, passes it or its address
+// on).
 //
-// The check is purely syntactic — intra-module type information is
-// best-effort in this framework — so it keys on the method name StartSpan
-// in files that import highorder/internal/obs (or in package obs itself).
-// Test files are exempt: tests deliberately leave spans open to exercise
-// the tracer's in-flight snapshot behavior.
+// A start is any call whose result type is FlightSpan of a package named
+// obs — Recorder.Start or FlightSpan.Child — as resolved by the type
+// checker. Test files are exempt: tests deliberately leave spans open.
 type SpanEnd struct{}
 
 // Name implements Analyzer.
@@ -25,16 +26,13 @@ func (*SpanEnd) Name() string { return "spanend" }
 
 // Doc implements Analyzer.
 func (*SpanEnd) Doc() string {
-	return "flags obs spans started without a same-function End (defer or unconditional)"
+	return "flags obs flight spans started without a same-function End (defer or unconditional)"
 }
 
 // Run implements Analyzer.
 func (se *SpanEnd) Run(pass *Pass) {
 	for _, f := range pass.Files {
 		if f.Test {
-			continue
-		}
-		if ImportName(f.AST, "highorder/internal/obs") == "" && f.AST.Name.Name != "obs" {
 			continue
 		}
 		ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -51,7 +49,7 @@ func (se *SpanEnd) Run(pass *Pass) {
 	}
 }
 
-// spanStart is one StartSpan call bound to a variable in the scope.
+// spanStart is one span start bound to a variable in the scope.
 type spanStart struct {
 	name string
 	pos  token.Pos
@@ -70,13 +68,13 @@ type spanEnd struct {
 // their own scopes for starts (Run visits them separately); they are only
 // scanned here when attributing End calls to this scope's variables.
 func (se *SpanEnd) checkScope(pass *Pass, body *ast.BlockStmt) {
-	// Pass 1 (own statements only): classify every StartSpan call site.
-	started := map[ast.Node]bool{} // StartSpan CallExprs seen
-	claimed := map[ast.Node]bool{} // ... that are assigned, returned, or chained-ended
+	// Pass 1 (own statements only): classify every span start.
+	started := map[ast.Node]bool{} // span-start CallExprs seen
+	claimed := map[ast.Node]bool{} // ... that are assigned, returned, or chained
 	var startedList []ast.Node     // source order, for deterministic reports
 	var starts []spanStart
 	inOwn(body, func(n ast.Node) {
-		if call, ok := n.(*ast.CallExpr); ok && isStartSpan(call) {
+		if call, ok := n.(*ast.CallExpr); ok && isSpanStart(pass, call) {
 			started[call] = true
 			startedList = append(startedList, call)
 		}
@@ -108,13 +106,12 @@ func (se *SpanEnd) checkScope(pass *Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.SelectorExpr:
-			// tr.StartSpan("x").End() — ended (or leaked via SetArg etc.)
-			// directly on the call result.
+			// rec.Start(tc, n).Context() — a method on the unbound result.
+			// End has a pointer receiver, so it cannot be chained; the span
+			// can never be ended.
 			if started[v.X] {
 				claimed[v.X] = true
-				if v.Sel.Name != "End" {
-					pass.Report(v.X.Pos(), "span result used without being bound or ended: call End or assign the span")
-				}
+				pass.Report(v.X.Pos(), "span result used without being bound or ended: assign the span and End it")
 			}
 		}
 	})
@@ -165,12 +162,16 @@ func (se *SpanEnd) checkScope(pass *Pass, body *ast.BlockStmt) {
 					if sel.Sel.Name == "End" {
 						ends[id.Name] = append(ends[id.Name], spanEnd{pos: v.Pos(), deferred: deferDepth > 0 || litDepth > 0})
 					}
-					// Other method calls on the span (StartSpan, SetArg)
+					// Other method calls on the span (Child, SetArg)
 					// do not transfer ownership.
 				}
 			}
-			// A span passed as a call argument escapes to the callee.
+			// A span passed as a call argument, by value or by address,
+			// escapes to the callee.
 			for _, arg := range v.Args {
+				if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					arg = u.X
+				}
 				if id, ok := arg.(*ast.Ident); ok && names[id.Name] {
 					escaped[id.Name] = true
 				}
@@ -247,8 +248,12 @@ func inOwn(body *ast.BlockStmt, visit func(n ast.Node)) {
 	})
 }
 
-// isStartSpan reports whether call is <expr>.StartSpan(...).
-func isStartSpan(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "StartSpan"
+// isSpanStart reports whether call yields an obs FlightSpan.
+func isSpanStart(pass *Pass, call *ast.CallExpr) bool {
+	named, ok := pass.TypeOf(call).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "FlightSpan" && obj.Pkg() != nil && obj.Pkg().Name() == "obs"
 }

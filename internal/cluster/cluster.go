@@ -84,13 +84,13 @@ type Options struct {
 	// the intermediate structures alive.
 	KeepDendrogram bool
 
-	// Span is the parent tracing span the clustering nests its phase spans
-	// under (block building, step-1 chunk merge, step-2 concept merge).
-	// nil disables tracing at zero cost. Phase spans are created only in
-	// this sequential entry path — the parallel training workers report
-	// through span args instead — so the recorded span tree is
-	// deterministic for a fixed seed.
-	Span *obs.Span
+	// Span is the parent flight span the clustering nests its phase spans
+	// under (block building, step-1 chunk merge, step-2 concept merge);
+	// the zero span disables tracing at zero cost. Phase spans are created
+	// only in this sequential entry path — the parallel training workers
+	// only bump the work counters each phase reports as instant children —
+	// so the recorded span tree is deterministic for a fixed seed.
+	Span obs.FlightSpan
 
 	// CutSlack controls how much better a partition must be before the
 	// final cut splits a dendrogram node: the node splits only when
@@ -233,6 +233,20 @@ type Stats struct {
 	RecordsCopied int
 }
 
+// Span names of the clustering phases and of the work counts each phase
+// records as instant children, interned once (see obs.InternName).
+var (
+	spanBlockBuild     = obs.InternName("block_build")
+	spanChunkMerge     = obs.InternName("chunk_merge")
+	spanConceptMerge   = obs.InternName("concept_merge")
+	spanModelsTrained  = obs.InternName("models_trained")
+	spanEdgesEvaluated = obs.InternName("edges_evaluated")
+	spanEdgesPruned    = obs.InternName("edges_pruned")
+	spanModelsReused   = obs.InternName("models_reused")
+	spanRecordsCopied  = obs.InternName("records_copied")
+	spanMergers        = obs.InternName("mergers")
+)
+
 // ClusterConcepts runs both steps on the historical dataset and returns the
 // discovered concepts and occurrences.
 func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
@@ -251,22 +265,21 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	// Step 1: adjacent blocks → chunks (concept occurrences). A short tail
 	// block is folded into its predecessor so every node can hold two
 	// mutually exclusive holdout halves (§II-B).
-	spBlocks := o.Span.StartSpan("block_build")
+	spBlocks := o.Span.Child(spanBlockBuild)
 	blocks := hist.Blocks(o.BlockSize)
 	if n := len(blocks); n > 1 && blocks[n-1].Len() < o.BlockSize {
 		blocks[n-2] = blocks[n-2].Concat(blocks[n-1])
 		blocks = blocks[:n-1]
 	}
 	step1, err := eng.makeLeaves(blocks)
-	spBlocks.SetArg("blocks", int64(len(blocks)))
-	spBlocks.SetArg("models_trained", eng.modelsTrained.Load())
+	spBlocks.SetArg(int64(len(blocks)))
 	blockMark := eng.counters()
-	spBlocks.SetArg("records_copied", blockMark.copied)
+	recordWork(spBlocks, workCounters{}, blockMark)
 	spBlocks.End()
 	if err != nil {
 		return nil, err
 	}
-	spChunk := o.Span.StartSpan("chunk_merge")
+	spChunk := o.Span.Child(spanChunkMerge)
 	eng.nextID = len(blocks)
 	roots1 := eng.agglomerate(step1, false)
 	chunkNodes := cut(roots1, o.CutSlack)
@@ -288,10 +301,9 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 		first, last := memberRange(c)
 		occs[i] = Occurrence{Start: first * o.BlockSize, End: blockEnd(last), Concept: -1}
 	}
-	spChunk.SetArg("chunks", int64(len(chunkNodes)))
-	spChunk.SetArg("mergers", int64(eng.stats.Mergers))
+	spChunk.SetArg(int64(len(chunkNodes)))
 	chunkMark := eng.counters()
-	setPhaseWorkArgs(spChunk, blockMark, chunkMark)
+	recordWork(spChunk, blockMark, chunkMark)
 	spChunk.End()
 
 	// Step 2: chunks → concepts, over a complete graph. Chunk nodes carry
@@ -311,22 +323,21 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 			members:   []int{i},
 		}
 	}
-	spConcept := o.Span.StartSpan("concept_merge")
+	spConcept := o.Span.Child(spanConceptMerge)
 	eng.nextID = len(step2)
 	eng.prepareSamples(step2)
 	roots2 := eng.agglomerate(step2, true)
 	conceptNodes := cut(roots2, o.CutSlack)
 	orderByFirstMember(conceptNodes)
-	spConcept.SetArg("concepts", int64(len(conceptNodes)))
-	spConcept.SetArg("models_trained", eng.modelsTrained.Load())
+	spConcept.SetArg(int64(len(conceptNodes)))
 	finalMark := eng.counters()
-	setPhaseWorkArgs(spConcept, chunkMark, finalMark)
+	recordWork(spConcept, chunkMark, finalMark)
 	spConcept.End()
 
 	cl := &Clustering{Occurrences: occs, Stats: eng.stats}
 	cl.Stats.Blocks = len(blocks)
 	cl.Stats.Chunks = len(chunkNodes)
-	cl.Stats.ModelsTrained = int(eng.modelsTrained.Load())
+	cl.Stats.ModelsTrained = int(finalMark.trained)
 	cl.Stats.EdgesEvaluated = int(finalMark.edges)
 	cl.Stats.EdgesPruned = int(finalMark.pruned)
 	cl.Stats.ModelsReused = int(finalMark.reused)
@@ -345,14 +356,17 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	return cl, nil
 }
 
-// setPhaseWorkArgs attaches the work-counter deltas between two snapshots
-// to a phase span. All counters are functions of the merge sequence alone,
-// so the recorded args are identical across worker counts.
-func setPhaseWorkArgs(sp *obs.Span, since, now workCounters) {
-	sp.SetArg("edges_evaluated", now.edges-since.edges)
-	sp.SetArg("edges_pruned", now.pruned-since.pruned)
-	sp.SetArg("models_reused", now.reused-since.reused)
-	sp.SetArg("records_copied", now.copied-since.copied)
+// recordWork records the work-counter deltas between two marks as instant
+// children of a phase span, so the phases of one build sum to its Stats.
+// All counters are functions of the merge sequence alone, so the recorded
+// counts are identical across worker counts.
+func recordWork(sp obs.FlightSpan, since, now workCounters) {
+	sp.Instant(spanModelsTrained, now.trained-since.trained)
+	sp.Instant(spanEdgesEvaluated, now.edges-since.edges)
+	sp.Instant(spanEdgesPruned, now.pruned-since.pruned)
+	sp.Instant(spanModelsReused, now.reused-since.reused)
+	sp.Instant(spanRecordsCopied, now.copied-since.copied)
+	sp.Instant(spanMergers, now.mergers-since.mergers)
 }
 
 // memberRange returns the smallest and largest input-node id in the

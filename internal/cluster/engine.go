@@ -60,17 +60,19 @@ type mergeRecord struct {
 }
 
 // workCounters is a snapshot of the engine's work counters, used to
-// attach per-phase deltas to the build spans.
+// record per-phase deltas under the build spans.
 type workCounters struct {
-	edges, copied, reused, pruned int64
+	trained, edges, copied, reused, pruned, mergers int64
 }
 
 func (e *engine) counters() workCounters {
 	return workCounters{
-		edges:  e.edgesEvaluated.Load(),
-		copied: e.recordsCopied.Load(),
-		reused: e.modelsReused.Load(),
-		pruned: e.edgesPruned,
+		trained: e.modelsTrained.Load(),
+		edges:   e.edgesEvaluated.Load(),
+		copied:  e.recordsCopied.Load(),
+		reused:  e.modelsReused.Load(),
+		pruned:  e.edgesPruned,
+		mergers: int64(e.stats.Mergers),
 	}
 }
 

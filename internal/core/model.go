@@ -67,11 +67,22 @@ type Options struct {
 	// the wall clock. Inject a clock.Fake to make build timing
 	// deterministic in tests.
 	Clock clock.Clock
-	// Tracer records the offline pipeline's phase spans (block building,
+	// Recorder records the offline pipeline's phase spans (block building,
 	// chunk merge, concept merge, transition estimation, per-concept
-	// retraining) when non-nil. nil disables tracing at zero cost.
-	Tracer *obs.Tracer
+	// retraining) under one forced root span when non-nil. nil disables
+	// tracing at zero cost.
+	Recorder *obs.Recorder
 }
+
+// Span names of the build, interned once (see obs.InternName). The
+// clustering phases name their own spans under spanBuild.
+var (
+	spanBuild        = obs.InternName("build")
+	spanTransitions  = obs.InternName("transitions")
+	spanRetrain      = obs.InternName("retrain")
+	spanTrainConcept = obs.InternName("train_concept")
+	spanConcepts     = obs.InternName("concepts")
+)
 
 // DefaultOptions returns the configuration used in the experiments: tree
 // base learner, block size 10, the paper's early-termination thresholds,
@@ -147,9 +158,9 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 	}
 	clk := o.Clock.OrWall()
 	start := clk()
-	build := o.Tracer.StartSpan("build")
+	build := o.Recorder.Start(o.Recorder.ForceTrace(), spanBuild)
 	defer build.End()
-	build.SetArg("history_records", int64(hist.Len()))
+	build.SetArg(int64(hist.Len()))
 	cl, err := cluster.ClusterConcepts(hist, cluster.Options{
 		Learner:          o.Learner,
 		BlockSize:        o.BlockSize,
@@ -166,7 +177,7 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	spTrans := build.StartSpan("transitions")
+	spTrans := build.Child(spanTransitions)
 	trans, err := transition.FromOccurrences(cl.Occurrences, len(cl.Concepts))
 	spTrans.End()
 	if err != nil {
@@ -183,12 +194,11 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 		Chi:         chi,
 		Occurrences: cl.Occurrences,
 	}
-	spRetrain := build.StartSpan("retrain")
+	spRetrain := build.Child(spanRetrain)
 	for ci, c := range cl.Concepts {
 		model := c.Model
 		if o.RetrainConcepts {
-			spc := spRetrain.StartSpan("train_concept")
-			spc.SetArg("concept", int64(ci))
+			spc := spRetrain.Child(spanTrainConcept)
 			// Gather the concept's records with one sized allocation; the
 			// per-occurrence Concat this replaces reallocated the whole
 			// accumulated prefix at every step.
@@ -202,7 +212,7 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 				recs = append(recs, hist.Records[occ.Start:occ.End]...)
 			}
 			full := &data.Dataset{Schema: hist.Schema, Records: recs}
-			spc.SetArg("records", int64(full.Len()))
+			spc.SetArg(int64(full.Len()))
 			if full.Len() > 0 {
 				retrained, err := o.Learner.Train(full)
 				if err != nil {
@@ -228,6 +238,6 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 		Clustering:  cl.Stats,
 		HistorySize: hist.Len(),
 	}
-	build.SetArg("concepts", int64(len(m.Concepts)))
+	build.Instant(spanConcepts, int64(len(m.Concepts)))
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,51 +10,63 @@ import (
 	"highorder/internal/obs"
 )
 
-// tracedBuild builds the three-concept model with a tracer attached, on a
-// fake clock, with the given training parallelism.
-func tracedBuild(t *testing.T, workers int) *obs.Tracer {
+// tracedBuild builds the three-concept model with a flight recorder
+// attached, on a frozen fake clock, with the given training parallelism,
+// and returns the model with the recorder's phase summary.
+func tracedBuild(t *testing.T, workers int) (*Model, []obs.PhaseSummary) {
 	t.Helper()
 	hist, _ := stream(1,
 		[2]int{0, 400}, [2]int{1, 400}, [2]int{2, 400},
 		[2]int{0, 400}, [2]int{1, 400}, [2]int{2, 400})
 	fake := clock.NewFake(time.Unix(0, 0))
-	tr := obs.NewTracer(fake.Clock())
+	rec := obs.NewRecorder(obs.FlightConfig{Proc: "build", Slots: 1 << 12, Shards: 1, Clock: fake.Clock()})
 	opts := DefaultOptions()
 	opts.Workers = workers
-	opts.Tracer = tr
+	opts.Recorder = rec
 	opts.Clock = fake.Clock()
-	if _, err := Build(hist, opts); err != nil {
+	m, err := Build(hist, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	sums, err := obs.Summarize(rec.Snapshot("test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, sums
+}
+
+// byPhase indexes a summary by span path.
+func byPhase(sums []obs.PhaseSummary) map[string]obs.PhaseSummary {
+	out := make(map[string]obs.PhaseSummary, len(sums))
+	for _, s := range sums {
+		out[s.Phase] = s
+	}
+	return out
 }
 
 // TestBuildSpanTreeDeterminism asserts that two identically-seeded builds —
-// even with different worker counts — record identical span trees once
-// timestamps are stripped: same names, same hierarchy, same counts, same
-// args. Spans are only created in sequential pipeline code, so the trace
-// is as reproducible as the model itself.
+// even with different worker counts — record identical phase summaries:
+// same paths, same span counts, same args (the frozen clock zeroes every
+// duration). Spans are only created in sequential pipeline code, so the
+// trace is as reproducible as the model itself.
 func TestBuildSpanTreeDeterminism(t *testing.T) {
-	a := obs.TreeString(obs.StripTimes(tracedBuild(t, 1).Snapshot()))
-	b := obs.TreeString(obs.StripTimes(tracedBuild(t, 4).Snapshot()))
-	if a != b {
-		t.Errorf("span trees differ across identically-seeded runs:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", a, b)
-	}
-	if a == "" {
+	_, a := tracedBuild(t, 1)
+	_, b := tracedBuild(t, 4)
+	if len(a) == 0 {
 		t.Fatal("no spans recorded")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("phase summaries differ across identically-seeded runs:\n--- workers=1 ---\n%+v\n--- workers=4 ---\n%+v", a, b)
 	}
 }
 
 // TestBuildSpanTreePhases asserts the offline pipeline records the phases
-// the observability layer promises: block building, chunk merge, concept
-// merge, transition estimation, per-concept retraining.
+// the observability layer promises — block building, chunk merge, concept
+// merge, transition estimation, per-concept retraining — each with its
+// one count as its arg.
 func TestBuildSpanTreePhases(t *testing.T) {
-	tr := tracedBuild(t, 0)
-	sums := tr.Summarize()
-	byPhase := map[string]obs.PhaseSummary{}
-	for _, s := range sums {
-		byPhase[s.Phase] = s
-	}
+	m, sums := tracedBuild(t, 0)
+	phases := byPhase(sums)
 	for _, phase := range []string{
 		"build",
 		"build/block_build",
@@ -63,15 +76,57 @@ func TestBuildSpanTreePhases(t *testing.T) {
 		"build/retrain",
 		"build/retrain/train_concept",
 	} {
-		if byPhase[phase].Spans == 0 {
+		if phases[phase].Spans == 0 {
 			t.Errorf("phase %q missing from summary %v", phase, sums)
 		}
 	}
-	if got := byPhase["build/retrain/train_concept"].Spans; got < 2 {
-		t.Errorf("train_concept spans = %d, want one per concept (>= 2)", got)
+	if got := phases["build/retrain/train_concept"].Spans; got != m.NumConcepts() || got < 2 {
+		t.Errorf("train_concept spans = %d, want one per concept (%d)", got, m.NumConcepts())
 	}
-	if byPhase["build/block_build"].Args["blocks"] == 0 {
-		t.Errorf("block_build span has no blocks arg: %v", byPhase["build/block_build"])
+	st := m.Stats.Clustering
+	for phase, want := range map[string]int{
+		"build":                       m.Stats.HistorySize,
+		"build/concepts":              m.NumConcepts(),
+		"build/block_build":           st.Blocks,
+		"build/chunk_merge":           st.Chunks,
+		"build/concept_merge":         m.NumConcepts(),
+		"build/retrain/train_concept": m.Stats.HistorySize,
+	} {
+		if got := phases[phase].Arg; got != int64(want) {
+			t.Errorf("%s arg = %d, want %d", phase, got, want)
+		}
+	}
+}
+
+// TestBuildPhaseCountsSumToStats asserts every clustering phase records
+// each work count as its own delta: summed over the three phases, each
+// count equals the build's cluster.Stats.
+func TestBuildPhaseCountsSumToStats(t *testing.T) {
+	m, sums := tracedBuild(t, 0)
+	phases := byPhase(sums)
+	st := m.Stats.Clustering
+	for count, want := range map[string]int{
+		"models_trained":  st.ModelsTrained,
+		"edges_evaluated": st.EdgesEvaluated,
+		"edges_pruned":    st.EdgesPruned,
+		"models_reused":   st.ModelsReused,
+		"records_copied":  st.RecordsCopied,
+		"mergers":         st.Mergers,
+	} {
+		var total int64
+		for _, phase := range []string{"block_build", "chunk_merge", "concept_merge"} {
+			ps := phases["build/"+phase+"/"+count]
+			if ps.Spans != 1 {
+				t.Errorf("%s recorded %d %s spans, want 1", phase, ps.Spans, count)
+			}
+			total += ps.Arg
+		}
+		if total != int64(want) {
+			t.Errorf("%s summed over the phases = %d, want the build's %d", count, total, want)
+		}
+	}
+	if st.ModelsTrained == 0 || st.EdgesEvaluated == 0 || st.RecordsCopied == 0 {
+		t.Fatalf("build did no clustering work: %+v", st)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"highorder/internal/bayes"
+	"highorder/internal/clock"
 	"highorder/internal/core"
 	"highorder/internal/data"
+	"highorder/internal/obs"
 	"highorder/internal/synth"
 )
 
@@ -158,6 +161,37 @@ func TestModelRoundTrip(t *testing.T) {
 		}
 		p1.Observe(r)
 		p2.Observe(r)
+	}
+}
+
+// TestModelBytesIndependentOfTracing: on a frozen fake clock, a build
+// with a flight recorder attached writes the same model bytes as one
+// without — tracing observes the build and never steers it.
+func TestModelBytesIndependentOfTracing(t *testing.T) {
+	hist := synth.TakeDataset(synth.NewStagger(synth.StaggerConfig{Seed: 5}), 3000)
+	gobOf := func(rec *obs.Recorder) []byte {
+		t.Helper()
+		opts := core.DefaultOptions()
+		opts.Seed = 5
+		opts.Clock = clock.NewFake(time.Unix(0, 0)).Clock()
+		opts.Recorder = rec
+		m, err := core.Build(hist, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteModel(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rec := obs.NewRecorder(obs.FlightConfig{Proc: "build", Slots: 1 << 12, Shards: 1})
+	plain, traced := gobOf(nil), gobOf(rec)
+	if !bytes.Equal(plain, traced) {
+		t.Fatalf("model gob differs with a recorder attached: %d vs %d bytes", len(plain), len(traced))
+	}
+	if len(rec.Snapshot("test").Spans) == 0 {
+		t.Fatal("the traced build recorded no spans")
 	}
 }
 

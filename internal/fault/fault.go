@@ -6,7 +6,7 @@
 // the rest of the module holds for its learning pipeline.
 //
 // Production code reaches the layer through a nil-default hook with the
-// same contract discipline as core.Predictor.SetSink and obs.Tracer: a nil
+// same contract discipline as core.Predictor.SetSink and obs.Recorder: a nil
 // *Injector disables every fault point at the cost of one pointer check
 // and zero allocations (see BenchmarkNilInjectorFire and
 // TestNilInjectorZeroAllocs), so the hooks can live permanently on hot

@@ -1,13 +1,14 @@
-// Flight recorder: the always-on, fixed-cost half of the tracing layer.
+// Flight recorder: the repository's one span system.
 //
-// The Tracer in trace.go retains every span until exported, which is right
-// for bounded diagnostic runs and wrong for a production replica that must
-// trace forever. The Recorder here is the production store: a fixed-size
-// ring of power-of-two slots, sharded to spread writer contention, written
-// with nothing but atomic stores (no locks anywhere on the write path) and
-// sampled head-based from a seed, so the per-request cost is a handful of
-// atomic operations on sampled traces and zero allocations on the disabled
-// and unsampled paths (enforced by TestFlight*Allocs and the verify.sh
+// Every traced process records into a Recorder: fleet processes trace
+// requests across hops, and the offline build (core.Build) records its
+// phases under one forced root span, which Summarize (summary.go) folds
+// into per-phase totals. The Recorder is a fixed-size ring of power-of-two
+// slots, sharded to spread writer contention, written with nothing but
+// atomic stores (no locks anywhere on the write path) and sampled
+// head-based from a seed, so the per-request cost is a handful of atomic
+// operations on sampled traces and zero allocations on the disabled and
+// unsampled paths (enforced by TestFlight*Allocs and the verify.sh
 // alloc-ceiling gate).
 //
 // Context propagation: a request's trace identity travels between fleet
@@ -406,6 +407,17 @@ func (r *Recorder) Instant(tc TraceContext, name NameID, arg int64) {
 	s.End()
 }
 
+// Child opens a span under this one. Zero span: zero child.
+func (s FlightSpan) Child(name NameID) FlightSpan {
+	return s.rec.Start(s.Context(), name)
+}
+
+// Instant records a zero-duration child span carrying arg — how a span
+// reports counts beyond its own one arg. Zero span: no-op.
+func (s FlightSpan) Instant(name NameID, arg int64) {
+	s.rec.Instant(s.Context(), name, arg)
+}
+
 // Context returns the context for child work of this span (same trace,
 // this span as parent). Zero span: zero context.
 func (s FlightSpan) Context() TraceContext {
@@ -475,12 +487,15 @@ type FlightSpanRecord struct {
 }
 
 // FlightDump is one process's snapshot of its ring — the unit homtrace
-// merges.
+// merges. Overwritten counts the spans the ring lost to lapping before
+// the snapshot: a dump with Overwritten > 0 holds only the most recent
+// spans.
 type FlightDump struct {
-	Proc       string             `json:"proc"`
-	Reason     string             `json:"reason,omitempty"`
-	CapturedNS int64              `json:"captured_ns"`
-	Spans      []FlightSpanRecord `json:"spans"`
+	Proc        string             `json:"proc"`
+	Reason      string             `json:"reason,omitempty"`
+	CapturedNS  int64              `json:"captured_ns"`
+	Overwritten uint64             `json:"overwritten"`
+	Spans       []FlightSpanRecord `json:"spans"`
 }
 
 // Snapshot reads every stable slot of the ring into a dump, discarding
@@ -494,6 +509,9 @@ func (r *Recorder) Snapshot(reason string) FlightDump {
 	d := FlightDump{Proc: r.proc, Reason: reason, CapturedNS: r.clk().UnixNano()}
 	for si := range r.shards {
 		sh := &r.shards[si]
+		if n, size := sh.cursor.Load(), uint64(len(sh.slots)); n > size {
+			d.Overwritten += n - size
+		}
 		for i := range sh.slots {
 			sl := &sh.slots[i]
 			v := sl.ver.Load()

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,112 @@ func TestRecorderRingWraparound(t *testing.T) {
 			t.Fatalf("ring retained old span arg=%d; want only the last 8", s.Arg)
 		}
 	}
+	if d.Overwritten != 92 {
+		t.Fatalf("Overwritten = %d, want 92 (100 spans through 8 slots)", d.Overwritten)
+	}
+
+	// A ring that never laps reports no loss, even when exactly full.
+	full := NewRecorder(FlightConfig{Proc: "w", Seed: 3, Slots: 8, Shards: 1})
+	for i := 0; i < 8; i++ {
+		sp := full.Start(tc, testNameA)
+		sp.End()
+	}
+	if d := full.Snapshot("full"); d.Overwritten != 0 || len(d.Spans) != 8 {
+		t.Fatalf("full, unlapped ring: %d spans, Overwritten = %d; want 8 and 0", len(d.Spans), d.Overwritten)
+	}
+}
+
+func TestSpanEndIdempotent(t *testing.T) {
+	fc := clock.NewFake(time.Unix(0, 0))
+	r := NewRecorder(FlightConfig{Proc: "e", Seed: 5, Slots: 16, Clock: fc.Clock()})
+	sp := r.Start(r.ForceTrace(), testNameA)
+	fc.Advance(time.Millisecond)
+	sp.End()
+	fc.Advance(time.Hour)
+	sp.End()
+	d := r.Snapshot("end")
+	if len(d.Spans) != 1 || d.Spans[0].DurNS != int64(time.Millisecond) {
+		t.Fatalf("after a double End: %+v, want one 1ms span", d.Spans)
+	}
+}
+
+// TestSpanChildAndInstant checks the span-relative helpers nest under the
+// span they are called on, and record nothing once it has ended.
+func TestSpanChildAndInstant(t *testing.T) {
+	fc := clock.NewFake(time.Unix(0, 0))
+	r := NewRecorder(FlightConfig{Proc: "c", Seed: 6, Slots: 16, Clock: fc.Clock()})
+	root := r.Start(r.ForceTrace(), testNameA)
+	child := root.Child(testNameB)
+	fc.Advance(time.Millisecond)
+	child.Instant(testNameA, 7)
+	child.End()
+	root.End()
+	root.Instant(testNameB, 8) // ended: no-op
+	if late := root.Child(testNameB); late.Recording() {
+		t.Fatal("Child of an ended span records")
+	}
+
+	d := r.Snapshot("child")
+	if len(d.Spans) != 3 {
+		t.Fatalf("got %d spans, want root, child, instant: %+v", len(d.Spans), d.Spans)
+	}
+	sums, err := Summarize(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PhaseSummary{
+		{Phase: "test.alpha", Spans: 1, WallSeconds: 0.001},
+		{Phase: "test.alpha/test.beta", Spans: 1, WallSeconds: 0.001},
+		{Phase: "test.alpha/test.beta/test.alpha", Spans: 1, Arg: 7},
+	}
+	if !reflect.DeepEqual(sums, want) {
+		t.Fatalf("summary = %+v, want %+v", sums, want)
+	}
+}
+
+// spanRec builds one dump record for the Summarize tests.
+func spanRec(span, parent, name string, dur time.Duration, arg int64) FlightSpanRecord {
+	return FlightSpanRecord{Trace: "t", Span: span, Parent: parent, Name: name, DurNS: int64(dur), Arg: arg}
+}
+
+func TestSummarizeAggregatesByPath(t *testing.T) {
+	d := FlightDump{Proc: "p", Spans: []FlightSpanRecord{
+		spanRec("r", "", "build", 40*time.Millisecond, 3000),
+		spanRec("t", "r", "retrain", 30*time.Millisecond, 0),
+		spanRec("c1", "t", "train_concept", 10*time.Millisecond, 100),
+		spanRec("c2", "t", "train_concept", 10*time.Millisecond, 100),
+		spanRec("c3", "t", "train_concept", 10*time.Millisecond, 100),
+		spanRec("n", "r", "concepts", 0, 3),
+		// Parented by a span of another process: the path starts here.
+		spanRec("x", "elsewhere", "serve.classify", 5*time.Millisecond, 16),
+	}}
+	sums, err := Summarize(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PhaseSummary{
+		{Phase: "build", Spans: 1, WallSeconds: 0.04, Arg: 3000},
+		{Phase: "build/concepts", Spans: 1, Arg: 3},
+		{Phase: "build/retrain", Spans: 1, WallSeconds: 0.03},
+		{Phase: "build/retrain/train_concept", Spans: 3, WallSeconds: 0.03, Arg: 300},
+		{Phase: "serve.classify", Spans: 1, WallSeconds: 0.005, Arg: 16},
+	}
+	if !reflect.DeepEqual(sums, want) {
+		t.Fatalf("summary = %+v, want %+v", sums, want)
+	}
+
+	d.Overwritten = 1
+	if _, err := Summarize(d); err == nil || !strings.Contains(err.Error(), "overwrite") {
+		t.Errorf("Summarize of a lapped dump: err = %v, want an overwrite refusal", err)
+	}
+
+	cyc := FlightDump{Proc: "p", Spans: []FlightSpanRecord{
+		spanRec("a", "b", "x", 0, 0),
+		spanRec("b", "a", "y", 0, 0),
+	}}
+	if _, err := Summarize(cyc); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("Summarize of a parent cycle: err = %v, want a cycle error", err)
+	}
 }
 
 func TestRecorderTriggerRateLimit(t *testing.T) {
@@ -200,6 +307,9 @@ func TestFlightDisabledAllocs(t *testing.T) {
 		sp := r.Start(tc, testNameA)
 		sp.SetArg(1)
 		sp.SetSession("s1")
+		child := sp.Child(testNameB)
+		child.End()
+		sp.Instant(testNameB, 3)
 		sp.End()
 		r.Instant(tc, testNameB, 2)
 		r.Trigger("never")

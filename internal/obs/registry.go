@@ -1,17 +1,17 @@
 // Package obs is the repository's stdlib-only observability layer: a
-// metrics registry with Prometheus text exposition (registry.go), a
-// hierarchical span tracer on the injectable clock exporting Chrome
-// trace-event JSON (trace.go), and the predictor introspection event
-// stream (sink.go).
+// metrics registry with Prometheus text exposition (registry.go), the
+// flight recorder — the one span system, shared by the fleet and the
+// offline build — with its per-phase summaries (flight.go, summary.go),
+// and the predictor introspection event stream (sink.go).
 //
 // The paper's claims are about run-time behavior — how fast the active
 // probabilities (Eqs. 5–7) lock onto the true concept after a change, how
 // often the MAP concept switches, where the offline mining of Algorithm 1
 // spends its time — so that behavior is emitted as a first-class layer
 // instead of being recomputed ad hoc inside experiments. Every instrument
-// is nil-safe: a nil *Tracer, *Span, or sink makes the instrumented call a
-// pointer check and nothing else, so the hot paths pay nothing when
-// observability is off.
+// is nil-safe: a nil *Recorder, a zero FlightSpan, or a nil sink makes the
+// instrumented call a pointer check and nothing else, so the hot paths pay
+// nothing when observability is off.
 package obs
 
 import (

@@ -147,10 +147,11 @@ step "homlint -baseline lint/baseline.json -sarif results/homlint.sarif ./..."
 go run ./cmd/homlint -baseline lint/baseline.json -sarif results/homlint.sarif ./...
 
 # Serving smoke: train a small model through the real pipeline — with
-# phase tracing on, exercising the obs tracer end to end — and push one
-# session of load through an in-process homserve (loopback HTTP, the
-# bounded queue, micro-batching workers, graceful drain). homload exits
-# nonzero on any failed or unaccounted request.
+# phase tracing on, recording the build into the flight recorder, whose
+# dump homtrace must render with every pipeline phase on one trace — and
+# push one session of load through an in-process homserve (loopback
+# HTTP, the bounded queue, micro-batching workers, graceful drain).
+# homload exits nonzero on any failed or unaccounted request.
 step "homserve/homload smoke (1 session, 200 records, traced build)"
 smoketmp=$(mktemp -d)
 trap 'rm -rf "$smoketmp"' EXIT
@@ -165,6 +166,15 @@ for f in trace.json BENCH_pipeline.json; do
 		exit 1
 	fi
 done
+# Flags go before the dump: Go's flag parser stops at the first
+# positional argument.
+go run ./cmd/homtrace -o "$smoketmp/build_trace.json" \
+	-assert-span build -assert-span chunk_merge \
+	-assert-span concept_merge -assert-span train_concept "$smoketmp/trace.json"
+if [ ! -s "$smoketmp/build_trace.json" ]; then
+	echo "homtrace produced empty build_trace.json" >&2
+	exit 1
+fi
 go run ./cmd/homload -model "$smoketmp/model.gob" -sessions 1 -records 200 \
 	-batch 16 -out "$smoketmp/BENCH_serve.json"
 
