@@ -7,7 +7,7 @@ package main
 // replica outright, or hand capacity decisions to the metrics-driven
 // autoscaler — while every session's served state is checked
 // bit-for-bit against an offline twin predictor fed the same acknowledged
-// labels. The output is BENCH_gate.json.
+// labels.
 
 import (
 	"bytes"
@@ -45,17 +45,14 @@ type fleetOptions struct {
 	kill          bool
 	autoscale     string // "min:max", empty = off
 	scaleInterval time.Duration
-	sweep         []int
 	serviceDelay  time.Duration
-	verify        bool
 	flightDir     string // write per-process flight dumps here (empty = off)
 	spillDir      string // tiered replicas: per-replica spill subtrees here (empty = off)
 	hotSessions   int
 	wal           bool
 }
 
-// fleetWorkload is the per-run workload shape shared by the main run and
-// every sweep point.
+// fleetWorkload is the per-session workload shape of a fleet run.
 type fleetWorkload struct {
 	sessions, records, batch, maxRetries int
 	stream                               string
@@ -63,22 +60,6 @@ type fleetWorkload struct {
 	seed                                 int64
 	queue, workers                       int
 	codec                                serve.Codec
-}
-
-// parseSweep parses "1,2,4" into replica counts.
-func parseSweep(v string) ([]int, error) {
-	if v == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(v, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("sweep point %q: want a positive replica count", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // parseBounds parses "min:max" autoscale bounds.
@@ -136,10 +117,7 @@ func runFleetSession(clk clock.Clock, slp clock.Sleeper, base string, w fleetWor
 		c = c.WithRecorder(rec)
 	}
 
-	var twin *core.Predictor
-	if model != nil {
-		twin = model.NewPredictor()
-	}
+	twin := model.NewPredictor()
 	create := func() (string, bool) {
 		var created serve.CreateSessionResponse
 		ok := r.call(clk, slp, w.maxRetries, func() error {
@@ -169,9 +147,7 @@ func runFleetSession(clk clock.Clock, slp clock.Sleeper, base string, w fleetWor
 		if !convert() {
 			return false
 		}
-		if model != nil {
-			twin = model.NewPredictor()
-		}
+		twin = model.NewPredictor()
 		for {
 			next, ok := create()
 			if ok {
@@ -228,28 +204,24 @@ func runFleetSession(clk clock.Clock, slp clock.Sleeper, base string, w fleetWor
 				return r
 			}
 		}
-		if twin != nil {
-			for i := 0; i < n; i++ {
-				twin.Observe(data.Record{Values: vectors[i], Class: classes[i]})
-			}
+		for i := 0; i < n; i++ {
+			twin.Observe(data.Record{Values: vectors[i], Class: classes[i]})
 		}
 		done += n
 		r.records += n
 		progress.Add(int64(n))
 	}
 
-	if twin != nil {
-		var info serve.SessionInfo
-		if r.call(clk, slp, w.maxRetries, func() error {
-			var err error
-			info, err = c.Info(id)
-			return err
-		}) {
-			r.verified = true
-			r.bitIdentical = activeBitsEqual(info, twin.Snapshot())
-		} else if !convert() {
-			return r
-		}
+	var info serve.SessionInfo
+	if r.call(clk, slp, w.maxRetries, func() error {
+		var err error
+		info, err = c.Info(id)
+		return err
+	}) {
+		r.verified = true
+		r.bitIdentical = activeBitsEqual(info, twin.Snapshot())
+	} else if !convert() {
+		return r
 	}
 	if !r.call(clk, slp, w.maxRetries, func() error { return c.CloseSession(id) }) {
 		convert()
@@ -292,8 +264,7 @@ type fleetStoreTotals struct {
 
 // runFleetOnce boots replicas + gateway, drives the workload, applies the
 // requested churn/kill/autoscale choreography, and tears everything down.
-func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, replicas int,
-	w fleetWorkload, fo fleetOptions) (*fleetRun, error) {
+func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, w fleetWorkload, fo fleetOptions) (*fleetRun, error) {
 	opts := serve.Options{QueueDepth: w.queue, Workers: w.workers}
 	if fo.serviceDelay > 0 {
 		// Every observe batch stalls by the configured service delay, so a
@@ -352,7 +323,7 @@ func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, replicas in
 	}
 
 	g := gate.New(gate.Config{HealthInterval: 250 * time.Millisecond, Recorder: gateRec})
-	for i := 0; i < replicas; i++ {
+	for i := 0; i < fo.replicas; i++ {
 		id, url, err := fleet.ScaleUp()
 		if err != nil {
 			return nil, err
@@ -375,7 +346,7 @@ func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, replicas in
 	defer close(stop)
 	go g.HealthLoop(stop)
 
-	run := &fleetRun{maxReplicas: replicas}
+	run := &fleetRun{maxReplicas: fo.replicas}
 	var runMu sync.Mutex
 	scaleMin := 0
 	if fo.autoscale != "" {
@@ -480,10 +451,6 @@ func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, replicas in
 	for i := range seeds {
 		seeds[i] = root.Int63()
 	}
-	var verifyModel *core.Model
-	if fo.verify {
-		verifyModel = m
-	}
 	start := clk()
 	run.results = make([]*fleetSessionResult, w.sessions)
 	var wg sync.WaitGroup
@@ -491,7 +458,7 @@ func runFleetOnce(clk clock.Clock, slp clock.Sleeper, m *core.Model, replicas in
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			run.results[i] = runFleetSession(clk, slp, base, w, seeds[i], verifyModel, fo.kill, clientRec, &progress)
+			run.results[i] = runFleetSession(clk, slp, base, w, seeds[i], m, fo.kill, clientRec, &progress)
 		}(i)
 	}
 	wg.Wait()
@@ -573,7 +540,7 @@ func firstHealthy(g *gate.Gateway) string {
 	return ""
 }
 
-// fleetSummary is the BENCH_gate.json schema.
+// fleetSummary is the schema of a fleet run's JSON summary.
 type fleetSummary struct {
 	Config struct {
 		Replicas          int     `json:"replicas"`
@@ -635,22 +602,13 @@ type fleetSummary struct {
 		MaxReplicas int      `json:"max_replicas"`
 		Decisions   []string `json:"decisions"`
 	} `json:"autoscale"`
-	ChurnEvents []string     `json:"churn_events,omitempty"`
-	Sweep       []sweepPoint `json:"sweep,omitempty"`
-}
-
-// sweepPoint is one replica-count measurement of the scaling sweep.
-type sweepPoint struct {
-	Replicas         int     `json:"replicas"`
-	ElapsedSeconds   float64 `json:"elapsed_seconds"`
-	RecordsPerSecond float64 `json:"records_per_second"`
-	Speedup          float64 `json:"speedup"`
+	ChurnEvents []string `json:"churn_events,omitempty"`
 }
 
 // fleetSummarize folds one run into the JSON schema.
-func fleetSummarize(run *fleetRun, replicas int, w fleetWorkload, fo fleetOptions) *fleetSummary {
+func fleetSummarize(run *fleetRun, w fleetWorkload, fo fleetOptions) *fleetSummary {
 	s := &fleetSummary{}
-	s.Config.Replicas = replicas
+	s.Config.Replicas = fo.replicas
 	s.Config.Sessions = w.sessions
 	s.Config.RecordsPerSession = w.records
 	s.Config.Batch = w.batch
@@ -732,51 +690,18 @@ func fleetSummarize(run *fleetRun, replicas int, w fleetWorkload, fo fleetOption
 	return s
 }
 
-// runFleet is the fleet-mode entry point: the main run (or, with a sweep,
-// one run per replica count) and the BENCH_gate.json verdict. It exits
-// the process like main's single-server path does.
+// runFleet is the fleet-mode entry point: one run, its JSON summary, and
+// the verdict. It exits the process like main's single-server path does.
 func runFleet(clk clock.Clock, slp clock.Sleeper, modelPath, out string, w fleetWorkload, fo fleetOptions) {
 	m, err := dataio.LoadModel(modelPath)
 	if err != nil {
 		fail(err)
 	}
-
-	var sum *fleetSummary
-	if len(fo.sweep) > 0 {
-		// Sweep points run the identical workload at each replica count;
-		// churn/kill/autoscale are disabled so the scaling curve measures
-		// routing fan-out alone.
-		plain := fo
-		plain.churn, plain.kill, plain.autoscale = false, false, ""
-		var points []sweepPoint
-		var base float64
-		for i, n := range fo.sweep {
-			run, err := runFleetOnce(clk, slp, m, n, w, plain)
-			if err != nil {
-				fail(err)
-			}
-			point := fleetSummarize(run, n, w, plain)
-			if sum == nil || n >= sum.Config.Replicas {
-				sum = point
-			}
-			if i == 0 {
-				base = point.RecordsPerSecond
-			}
-			sp := sweepPoint{Replicas: n, ElapsedSeconds: point.ElapsedSeconds, RecordsPerSecond: point.RecordsPerSecond}
-			if base > 0 {
-				sp.Speedup = point.RecordsPerSecond / base
-			}
-			points = append(points, sp)
-			fmt.Printf("homload: fleet sweep %d replicas: %.0f records/s (%.2fx)\n", n, sp.RecordsPerSecond, sp.Speedup)
-		}
-		sum.Sweep = points
-	} else {
-		run, err := runFleetOnce(clk, slp, m, fo.replicas, w, fo)
-		if err != nil {
-			fail(err)
-		}
-		sum = fleetSummarize(run, fo.replicas, w, fo)
+	run, err := runFleetOnce(clk, slp, m, w, fo)
+	if err != nil {
+		fail(err)
 	}
+	sum := fleetSummarize(run, w, fo)
 
 	b, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
@@ -793,7 +718,7 @@ func runFleet(clk clock.Clock, slp clock.Sleeper, modelPath, out string, w fleet
 	case sum.Requests.Failed > 0 || sum.Requests.Attempted != accounted:
 		fmt.Fprintf(os.Stderr, "homload: fleet request accounting: %+v\n", sum.Requests)
 		os.Exit(1)
-	case fo.verify && !sum.Verify.BitIdentical:
+	case !sum.Verify.BitIdentical:
 		fmt.Fprintln(os.Stderr, "homload: served state diverged from the offline twin")
 		os.Exit(1)
 	}

@@ -1,5 +1,6 @@
 // Command homload drives deterministic load against a homserve instance
-// and writes a BENCH_serve.json throughput/latency summary.
+// and checks that every request is accounted for. It is a correctness
+// driver, not a benchmark: cmd/hombench owns every performance number.
 //
 // It runs N concurrent client sessions. Each session streams its own
 // seeded synthetic stream (internal/synth) through the classify + observe
@@ -7,38 +8,33 @@
 // backpressure: 429 responses are retried after the Retry-After hint and
 // counted. Every HTTP call is accounted for — attempted equals succeeded
 // plus rejected-then-retried plus failed — so a run with failures is
-// loudly nonzero, never silently short.
+// loudly nonzero, never silently short. A JSON summary of the run goes to
+// -out.
 //
 // With -addr it targets a running server; with -model it boots an
 // in-process server on a loopback listener (the HTTP path is still fully
 // exercised) and drains it gracefully at the end — the mode verify.sh's
-// smoke step and the committed BENCH_serve.json use.
+// smoke step uses.
 //
 // Fleet mode (-fleet, with -model) boots N replicas behind an in-process
 // gate.Gateway instead and drives every session through the gateway: it
 // can force a mid-run rebalance (-fleet-churn), crash a replica
-// (-fleet-kill), hand capacity to the metrics-driven autoscaler
-// (-fleet-autoscale min:max), or sweep replica counts (-fleet-sweep
-// 1,2,4), while checking each served session bit-for-bit against an
-// offline twin predictor. Fleet runs write BENCH_gate.json.
+// (-fleet-kill), or hand capacity to the metrics-driven autoscaler
+// (-fleet-autoscale min:max), while checking each served session
+// bit-for-bit against an offline twin predictor.
 //
 // With -spill-dir the in-process server (or every fleet replica, each
 // under its own subdirectory) runs the tiered session store: a bounded
 // hot set (-hot-sessions) over disk spill segments, with -wal adding a
-// fsync'd write-ahead label log. Store-bench mode (-store-bench N, with
-// -model) populates N concurrent sessions through a tiered server —
-// far more than fit hot — then revisits the coldest and writes a
-// BENCH_store.json hydration profile from the server's own
-// hom_session_hydrate_seconds histogram.
+// fsync'd write-ahead label log.
 //
 // Usage:
 //
 //	homload -model model.gob -sessions 8 -records 1000 [-batch 16]
-//	        [-stream stagger] [-seed 1] [-out BENCH_serve.json]
+//	        [-stream stagger] [-seed 1] [-codec json|binary] [-out homload.json]
 //	homload -addr http://127.0.0.1:8080 ...
 //	homload -model model.gob -fleet 3 -fleet-churn [-fleet-service-delay 2ms]
-//	homload -model model.gob -fleet-sweep 1,2,4 -fleet-service-delay 5ms
-//	homload -model model.gob -store-bench 100000 -hot-sessions 4096 -wal
+//	homload -model model.gob -fleet 2 -spill-dir spill -hot-sessions 4 -wal
 package main
 
 import (
@@ -74,25 +70,18 @@ func main() {
 	workers := flag.Int("workers", 0, "in-process server workers (0 = GOMAXPROCS)")
 	microBatch := flag.Int("micro-batch", 0, "in-process server micro-batch (0 = default)")
 	maxRetries := flag.Int("max-retries", 100, "429 retries before a request counts as failed")
-	out := flag.String("out", "BENCH_serve.json", "summary output path")
-	maxprocs := flag.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS for the run (0 keeps the default)")
+	out := flag.String("out", "homload.json", "summary output path")
 	fleetN := flag.Int("fleet", 0, "fleet mode: boot N replicas behind an in-process gateway (needs -model; 0 = off)")
 	fleetChurn := flag.Bool("fleet-churn", false, "fleet mode: join a replica at 1/3 progress and gracefully retire one at 2/3")
 	fleetKill := flag.Bool("fleet-kill", false, "fleet mode: crash a replica at 1/2 progress; clients recreate lost sessions")
 	fleetAutoscale := flag.String("fleet-autoscale", "", `fleet mode: autoscale bounds "min:max" (boots min replicas)`)
 	fleetScaleInterval := flag.Duration("fleet-scale-interval", 300*time.Millisecond, "fleet mode: autoscaler tick period")
-	fleetSweep := flag.String("fleet-sweep", "", `fleet mode: comma-separated replica counts to sweep, e.g. "1,2,4"`)
 	fleetServiceDelay := flag.Duration("fleet-service-delay", 0, "fleet mode: injected per-observe service delay so replicas are latency-bound")
-	fleetVerify := flag.Bool("fleet-verify", true, "fleet mode: check every served session bit-for-bit against an offline twin")
 	flightDir := flag.String("flight-dir", "", "fleet mode: record every trace on client, gateway, and replicas; write per-process flight dumps here at end of run")
-	spillDir := flag.String("spill-dir", "", "tiered session store: spill directory for the in-process server or fleet replicas (empty = tiering off; the store bench defaults to a temp dir)")
-	hotSessions := flag.Int("hot-sessions", 0, "tiered session store: in-memory hot-set bound (0 = default; needs -spill-dir or -store-bench)")
+	spillDir := flag.String("spill-dir", "", "tiered session store: spill directory for the in-process server or fleet replicas (empty = tiering off)")
+	hotSessions := flag.Int("hot-sessions", 0, "tiered session store: in-memory hot-set bound (0 = default; needs -spill-dir)")
 	wal := flag.Bool("wal", false, "tiered session store: fsync a write-ahead label log so acknowledged observes survive a crash")
-	storeBench := flag.Int("store-bench", 0, "store bench: populate N concurrent sessions through a tiered in-process server, revisit cold ones, and write a hydration profile (needs -model; 0 = off)")
-	storeRecords := flag.Int("store-records", 3, "store bench: labeled records observed per session")
-	storeRevisits := flag.Int("store-revisits", 0, "store bench: cold sessions revisited to measure hydration (0 = sessions/10, capped at 10000)")
 	codecName := flag.String("codec", "json", `classify/observe wire codec: "json" or "binary"`)
-	classifyBench := flag.Int("classify-bench", 0, "after the load run, classify N records through a fresh warmed session per codec and record per-codec throughput in the summary (0 = off)")
 	flag.Parse()
 
 	var codec serve.Codec
@@ -106,9 +95,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	}
 	if *sessions < 1 || *records < 1 || *batch < 1 {
 		fmt.Fprintln(os.Stderr, "homload: -sessions, -records, and -batch must be positive")
 		os.Exit(2)
@@ -117,32 +103,10 @@ func main() {
 	clk := clock.Clock(nil).OrWall()
 	slp := clock.Sleeper(nil).OrReal()
 
-	if *storeBench > 0 {
-		if *modelPath == "" || *addr != "" {
-			fmt.Fprintln(os.Stderr, "homload: -store-bench needs -model (and no -addr)")
-			os.Exit(2)
-		}
-		outPath := *out
-		if outPath == "BENCH_serve.json" && !flagWasSet("out") {
-			outPath = "BENCH_store.json"
-		}
-		runStoreBench(clk, slp, *modelPath, outPath, storeBenchOptions{
-			sessions: *storeBench, records: *storeRecords, revisits: *storeRevisits,
-			hot: *hotSessions, wal: *wal, spillDir: *spillDir,
-			queue: *queue, workers: *workers,
-			stream: *stream, lambda: *lambda, seed: *seed, maxRetries: *maxRetries,
-		})
-		return
-	}
-
-	if *fleetN > 0 || *fleetSweep != "" || *fleetAutoscale != "" {
+	if *fleetN > 0 || *fleetAutoscale != "" {
 		if *modelPath == "" || *addr != "" {
 			fmt.Fprintln(os.Stderr, "homload: fleet mode needs -model (and no -addr)")
 			os.Exit(2)
-		}
-		sweep, err := parseSweep(*fleetSweep)
-		if err != nil {
-			fail(err)
 		}
 		fo := fleetOptions{
 			replicas:      *fleetN,
@@ -150,9 +114,7 @@ func main() {
 			kill:          *fleetKill,
 			autoscale:     *fleetAutoscale,
 			scaleInterval: *fleetScaleInterval,
-			sweep:         sweep,
 			serviceDelay:  *fleetServiceDelay,
-			verify:        *fleetVerify,
 			flightDir:     *flightDir,
 			spillDir:      *spillDir,
 			hotSessions:   *hotSessions,
@@ -170,17 +132,13 @@ func main() {
 		if fo.replicas < 1 {
 			fo.replicas = 1
 		}
-		outPath := *out
-		if outPath == "BENCH_serve.json" && !flagWasSet("out") {
-			outPath = "BENCH_gate.json"
-		}
 		w := fleetWorkload{
 			sessions: *sessions, records: *records, batch: *batch, maxRetries: *maxRetries,
 			stream: *stream, lambda: *lambda, seed: *seed,
 			queue: *queue, workers: *workers,
 			codec: codec,
 		}
-		runFleet(clk, slp, *modelPath, outPath, w, fo)
+		runFleet(clk, slp, *modelPath, *out, w, fo)
 		return
 	}
 
@@ -240,14 +198,6 @@ func main() {
 
 	sum := summarize(results, *sessions, *records, *batch, *stream, *seed, elapsed)
 	sum.Config.Codec = *codecName
-
-	if *classifyBench > 0 {
-		cb, err := runClassifyBench(clk, base, *classifyBench)
-		if err != nil {
-			fail(fmt.Errorf("classify bench: %w", err))
-		}
-		sum.ClassifyBench = cb
-	}
 
 	// The server's own view: high-water queue depth and rejection count.
 	if text, err := serve.NewClient(base, nil).Metrics(); err == nil {
@@ -400,7 +350,7 @@ func runSession(clk clock.Clock, slp clock.Sleeper, base, stream string, lambda 
 	return r
 }
 
-// summary is the BENCH_serve.json schema.
+// summary is the schema of the single-server run's JSON summary.
 type summary struct {
 	Config struct {
 		Sessions          int    `json:"sessions"`
@@ -446,84 +396,6 @@ type summary struct {
 		ObserveP95  float64 `json:"observe_p95"`
 		ObserveP99  float64 `json:"observe_p99"`
 	} `json:"server_latency_ms"`
-	// ClassifyBench, when -classify-bench is set, is a pure classify-path
-	// throughput probe run after the mixed workload: one fresh session per
-	// codec, warmed with 128 labeled records, then N records classified in
-	// large batches with no observe traffic interleaved. It isolates the
-	// serve classify hot path (and the wire codec around it) from
-	// test-then-train protocol overhead.
-	ClassifyBench *classifyBench `json:"classify_bench,omitempty"`
-}
-
-// classifyBench is the per-codec classify-only throughput section.
-type classifyBench struct {
-	Records int                        `json:"records"`
-	Batch   int                        `json:"batch"`
-	Codecs  map[string]codecBenchStats `json:"codecs"`
-}
-
-type codecBenchStats struct {
-	ElapsedSeconds   float64 `json:"elapsed_seconds"`
-	RecordsPerSecond float64 `json:"records_per_second"`
-}
-
-// classifyBenchBatch keeps one request comfortably under the server's
-// request-size cap for both codecs while amortizing per-request cost.
-const classifyBenchBatch = 2048
-
-// runClassifyBench measures classify-only throughput per wire codec
-// against the already-running server at base.
-func runClassifyBench(clk clock.Clock, base string, records int) (*classifyBench, error) {
-	cb := &classifyBench{
-		Records: records,
-		Batch:   classifyBenchBatch,
-		Codecs:  map[string]codecBenchStats{},
-	}
-	for _, cc := range []struct {
-		name  string
-		codec serve.Codec
-	}{{"json", serve.CodecJSON}, {"binary", serve.CodecBinary}} {
-		c := serve.NewClient(base, nil).WithCodec(cc.codec)
-		created, err := c.CreateSession(serve.CreateSessionRequest{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: create session: %w", cc.name, err)
-		}
-		// Warm the session with labeled records so the served predictor has a
-		// concentrated prior — the steady state the hot path is built for.
-		g := synth.NewStagger(synth.StaggerConfig{Seed: 42, Lambda: 0.02})
-		warmVec := make([][]float64, 128)
-		warmCls := make([]int, len(warmVec))
-		for i := range warmVec {
-			rec := g.Next().Record
-			warmVec[i] = rec.Values
-			warmCls[i] = rec.Class
-		}
-		if _, err := c.Observe(created.ID, warmVec, warmCls); err != nil {
-			return nil, fmt.Errorf("%s: warmup observe: %w", cc.name, err)
-		}
-		vectors := make([][]float64, classifyBenchBatch)
-		for i := range vectors {
-			vectors[i] = g.Next().Record.Values
-		}
-		start := clk()
-		for done := 0; done < records; {
-			n := min(classifyBenchBatch, records-done)
-			if _, err := c.Classify(created.ID, vectors[:n], false); err != nil {
-				return nil, fmt.Errorf("%s: classify: %w", cc.name, err)
-			}
-			done += n
-		}
-		elapsed := clk().Sub(start).Seconds()
-		stats := codecBenchStats{ElapsedSeconds: elapsed}
-		if elapsed > 0 {
-			stats.RecordsPerSecond = float64(records) / elapsed
-		}
-		cb.Codecs[cc.name] = stats
-		if err := c.CloseSession(created.ID); err != nil {
-			return nil, fmt.Errorf("%s: close session: %w", cc.name, err)
-		}
-	}
-	return cb, nil
 }
 
 func summarize(results []*sessionResult, sessions, records, batch int, stream string, seed int64, elapsed float64) *summary {
@@ -533,7 +405,7 @@ func summarize(results []*sessionResult, sessions, records, batch int, stream st
 	s.Config.Batch = batch
 	s.Config.Stream = stream
 	s.Config.Seed = seed
-	// Recorded so committed bench numbers carry their parallelism context.
+	// Recorded so the summary carries its parallelism context.
 	s.Config.GoMaxProcs = runtime.GOMAXPROCS(0)
 
 	var lats []float64
@@ -582,18 +454,6 @@ func writeSummary(path string, s *summary) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// flagWasSet reports whether the named flag appeared on the command
-// line (as opposed to holding its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fail(err error) {

@@ -4,23 +4,15 @@
 // Usage:
 //
 //	homtrain -in history.csv -schema schema.json -o model.gob \
-//	         [-block 10] [-seed 1] [-learner tree|bayes] [-gomaxprocs N] \
+//	         [-block 10] [-seed 1] [-learner tree|bayes] \
 //	         [-trace trace.json] [-bench-out BENCH_pipeline.json]
-//
-//	homtrain -scale [-scale-hist 3000,10000,30000] [-scale-workers 1,2,4,8] \
-//	         [-scale-out BENCH_scale.json] [-block 10] [-seed 1] [-learner tree]
 //
 // -trace writes the offline pipeline's phase spans as a flight-recorder
 // dump, the format POST /admin/flightdump writes; render it with
 // `homtrace trace.json`. -bench-out writes the same spans summarized per
 // phase — span counts, wall times and counts — as JSON (the committed
-// BENCH_pipeline.json).
-//
-// -scale skips the CSV input entirely: it sweeps history size × worker
-// count over the synthetic Stagger stream, measuring the agglomeration
-// hot path against the retained naive reference engine and verifying
-// bit-identical per-record assignments, and writes the committed
-// BENCH_scale.json.
+// BENCH_pipeline.json). The build's parallelism follows the GOMAXPROCS
+// environment variable.
 package main
 
 import (
@@ -45,38 +37,22 @@ func main() {
 	learner := flag.String("learner", "tree", "base learner: tree or bayes")
 	tracePath := flag.String("trace", "", "write pipeline phase spans as a flight-recorder dump (render with homtrace)")
 	benchOut := flag.String("bench-out", "", "write per-phase wall times as JSON")
-	maxprocs := flag.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS for the build (0 keeps the default)")
 	reuse := flag.Float64("reuse", core.DefaultOptions().ReuseRatio, "classifier-reuse ratio (§II-D); 0 disables reuse")
 	earlyStop := flag.Int("earlystop", core.DefaultOptions().EarlyStopMinSize, "early-termination minimum cluster size (§II-D); 0 disables the freeze")
-	scale := flag.Bool("scale", false, "run the scaling sweep over the synthetic Stagger stream instead of building from -in")
-	scaleHist := flag.String("scale-hist", "3000,10000,30000", "comma-separated history sizes for -scale")
-	scaleWorkers := flag.String("scale-workers", "1,2,4,8", "comma-separated worker counts for -scale")
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the -scale bench")
 	flag.Parse()
 
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	}
-
-	baseOpts := core.DefaultOptions()
-	baseOpts.BlockSize = *block
-	baseOpts.Seed = *seed
-	baseOpts.ReuseRatio = *reuse
-	baseOpts.EarlyStopMinSize = *earlyStop
+	opts := core.DefaultOptions()
+	opts.BlockSize = *block
+	opts.Seed = *seed
+	opts.ReuseRatio = *reuse
+	opts.EarlyStopMinSize = *earlyStop
 	switch *learner {
 	case "tree":
 	case "bayes":
-		baseOpts.Learner = bayes.NewLearner()
+		opts.Learner = bayes.NewLearner()
 	default:
 		fmt.Fprintf(os.Stderr, "homtrain: unknown learner %q\n", *learner)
 		os.Exit(2)
-	}
-
-	if *scale {
-		if err := runScale(*scaleOut, *block, *seed, *learner, baseOpts, *scaleHist, *scaleWorkers); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	if *in == "" || *schemaPath == "" {
@@ -101,8 +77,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	opts := baseOpts
 
 	var rec *obs.Recorder
 	if *tracePath != "" || *benchOut != "" {

@@ -60,17 +60,13 @@ type Options struct {
 	// random source. <= 0 selects GOMAXPROCS.
 	Workers int
 
-	// Reference selects the retained naive reference engine (naive.go):
-	// serial candidate evaluation, a full record copy at every merger,
-	// full test rescans even when a classifier is reused, and no
-	// stale-edge pruning. Results are bit-identical to the optimized
-	// engine; only the cost differs. It exists as the equivalence oracle
-	// for the golden tests and as the baseline of the scaling bench.
-	Reference bool
-
 	// mergeLog, when non-nil, receives one record per executed merger in
 	// execution order. Package-private: only equivalence tests hook it.
 	mergeLog *[]mergeRecord
+	// agglomerate, when non-nil, replaces the engine's merge loop for both
+	// steps. Package-private: only the golden-equivalence test sets it,
+	// to run the naive reference loop (naive_test.go) as the oracle.
+	agglomerate func(e *engine, nodes []*node, complete bool) []*node
 
 	// Step2DeltaQ makes step 2 order mergers by ΔQ (Eq. 2) instead of the
 	// model-similarity distance (Eq. 3). The paper rejects this because a
@@ -228,8 +224,7 @@ type Stats struct {
 	ModelsReused int
 	// RecordsCopied counts record copies the engine performed: holdout
 	// splits, training-set materializations, and the shared sample build.
-	// The zero-copy dataset views exist to drive this down — the naive
-	// reference engine pays it at every merger.
+	// The zero-copy dataset views exist to drive this down.
 	RecordsCopied int
 }
 
@@ -258,9 +253,13 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 		return nil, fmt.Errorf("cluster: historical dataset has %d records, need at least %d (two blocks)", hist.Len(), 2*o.BlockSize)
 	}
 	src := rng.New(o.Seed)
-	eng := &engine{opts: o, learner: o.Learner, src: src, naive: o.Reference}
+	eng := &engine{opts: o, learner: o.Learner, src: src}
 	eng.pool = newWorkerPool(eng.workers())
 	defer eng.pool.close()
+	agglomerate := (*engine).agglomerate
+	if o.agglomerate != nil {
+		agglomerate = o.agglomerate
+	}
 
 	// Step 1: adjacent blocks → chunks (concept occurrences). A short tail
 	// block is folded into its predecessor so every node can hold two
@@ -281,7 +280,7 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	}
 	spChunk := o.Span.Child(spanChunkMerge)
 	eng.nextID = len(blocks)
-	roots1 := eng.agglomerate(step1, false)
+	roots1 := agglomerate(eng, step1, false)
 	chunkNodes := cut(roots1, o.CutSlack)
 	// The cut returns clusters of contiguous blocks; order them by stream
 	// position so chunk i precedes chunk i+1 in time.
@@ -326,7 +325,7 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	spConcept := o.Span.Child(spanConceptMerge)
 	eng.nextID = len(step2)
 	eng.prepareSamples(step2)
-	roots2 := eng.agglomerate(step2, true)
+	roots2 := agglomerate(eng, step2, true)
 	conceptNodes := cut(roots2, o.CutSlack)
 	orderByFirstMember(conceptNodes)
 	spConcept.SetArg(int64(len(conceptNodes)))

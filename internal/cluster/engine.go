@@ -22,11 +22,6 @@ type engine struct {
 	// through: leaf training, initial edge builds, per-merger
 	// re-evaluations, and prediction caching.
 	pool *workerPool
-	// naive selects the retained reference implementation (naive.go):
-	// serial evaluation, full copies, full rescans, no pruning. It is the
-	// equivalence oracle for golden_test.go and the baseline the scaling
-	// bench measures against.
-	naive bool
 
 	// Work counters are atomic because trainings and evaluations run in
 	// parallel.
@@ -155,12 +150,6 @@ func (e *engine) prepareSamples(nodes []*node) {
 	e.recordsCopied.Add(int64(len(all)))
 	e.src.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	e.sample = all
-	if e.naive {
-		for _, n := range nodes {
-			e.cachePredsSerial(n)
-		}
-		return
-	}
 	e.pool.run(len(nodes), func(i int) { e.cachePredsSerial(nodes[i]) })
 }
 
@@ -280,9 +269,6 @@ func (e *engine) releasePreds(ns ...*node) {
 // the merge sequence — and therefore the whole dendrogram — bit-identical
 // across worker counts.
 func (e *engine) agglomerate(nodes []*node, complete bool) []*node {
-	if e.naive {
-		return e.agglomerateNaive(nodes, complete)
-	}
 	if len(nodes) == 1 {
 		return nodes
 	}

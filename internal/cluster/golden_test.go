@@ -12,8 +12,10 @@ import (
 )
 
 // goldenRun clusters the 6000-record stagger stream with one engine
-// configuration and returns the full merge log plus the clustering.
-func goldenRun(t *testing.T, learner classifier.Learner, workers int, reference bool) ([]mergeRecord, *Clustering) {
+// configuration and returns the full merge log plus the clustering. With
+// reference set, the naive loop of naive_test.go runs instead of the
+// optimized one.
+func goldenRun(t *testing.T, learner classifier.Learner, workers int, reuse float64, reference bool) ([]mergeRecord, *Clustering) {
 	t.Helper()
 	g := synth.NewStagger(synth.StaggerConfig{Seed: 41})
 	d := synth.TakeDataset(g, 6000)
@@ -23,15 +25,17 @@ func goldenRun(t *testing.T, learner classifier.Learner, workers int, reference 
 		BlockSize: 10,
 		Seed:      9,
 		Workers:   workers,
-		Reference: reference,
 		// Exercise the optimized evaluation paths the reference must match:
 		// classifier reuse (mistake-count recombination) and early-stop
 		// freezing.
-		ReuseRatio:       0.05,
+		ReuseRatio:       reuse,
 		EarlyStopMinSize: 1000,
 		EarlyStopFactor:  1.2,
 		KeepDendrogram:   true,
 		mergeLog:         &log,
+	}
+	if reference {
+		opts.agglomerate = (*engine).agglomerateNaive
 	}
 	cl, err := ClusterConcepts(d, opts)
 	if err != nil {
@@ -132,11 +136,13 @@ func diffDendrograms(t *testing.T, label string, want, got []*DendrogramNode) {
 }
 
 // TestGoldenEquivalence is the equivalence contract of the optimized
-// engine: for both base learners and every worker count, the zero-copy
-// parallel engine must execute the exact same merge sequence as the
-// retained naive reference — same pairs, same order, bit-identical Err
-// and Err* at every merger — and arrive at bit-identical occurrences,
-// concepts, per-record assignments, and dendrograms.
+// engine: for both base learners, a sparing and a full reuse ratio, and
+// every worker count, the zero-copy parallel engine must execute the exact
+// same merge sequence as the naive reference — same pairs, same order,
+// bit-identical Err and Err* at every merger — and arrive at bit-identical
+// occurrences, concepts, per-record assignments, and dendrograms. At
+// reuse 1 every merger reuses the larger child's classifier, so the
+// mistake-count recombination carries the whole build.
 func TestGoldenEquivalence(t *testing.T) {
 	learners := []struct {
 		name string
@@ -147,22 +153,26 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 	for _, lc := range learners {
 		t.Run(lc.name, func(t *testing.T) {
-			refLog, refCl := goldenRun(t, lc.mk(), 1, true)
-			if len(refLog) == 0 {
-				t.Fatal("reference run executed no mergers; the test is vacuous")
-			}
-			if refCl.Stats.ModelsReused == 0 {
-				t.Fatal("reference run reused no classifiers; the reuse path is untested")
-			}
-			for _, workers := range []int{1, 2, 8} {
-				log, cl := goldenRun(t, lc.mk(), workers, false)
-				label := fmt.Sprintf("%s/workers=%d", lc.name, workers)
-				diffMergeLogs(t, label, refLog, log)
-				diffClusterings(t, label, refCl, cl, 6000)
-				if cl.Stats.ModelsReused != refCl.Stats.ModelsReused {
-					t.Fatalf("%s: optimized engine reused %d models, reference %d",
-						label, cl.Stats.ModelsReused, refCl.Stats.ModelsReused)
-				}
+			for _, reuse := range []float64{0.05, 1} {
+				t.Run(fmt.Sprintf("reuse=%g", reuse), func(t *testing.T) {
+					refLog, refCl := goldenRun(t, lc.mk(), 1, reuse, true)
+					if len(refLog) == 0 {
+						t.Fatal("reference run executed no mergers; the test is vacuous")
+					}
+					if refCl.Stats.ModelsReused == 0 {
+						t.Fatal("reference run reused no classifiers; the reuse path is untested")
+					}
+					for _, workers := range []int{1, 2, 8} {
+						log, cl := goldenRun(t, lc.mk(), workers, reuse, false)
+						label := fmt.Sprintf("%s/reuse=%g/workers=%d", lc.name, reuse, workers)
+						diffMergeLogs(t, label, refLog, log)
+						diffClusterings(t, label, refCl, cl, 6000)
+						if cl.Stats.ModelsReused != refCl.Stats.ModelsReused {
+							t.Fatalf("%s: optimized engine reused %d models, reference %d",
+								label, cl.Stats.ModelsReused, refCl.Stats.ModelsReused)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -7,15 +7,14 @@ import (
 	"highorder/internal/data"
 )
 
-// This file is the retained naive reference engine: the pre-optimization
-// cost model of the agglomeration loop, selected by Options.Reference. It
-// evaluates every candidate serially, copies every record of both
-// children at every merger, rescans the whole merged test half even when
-// a classifier is reused, and never prunes stale edges. Its results are
-// bit-identical to the optimized engine — golden_test.go proves it merger
-// by merger — which makes it the equivalence oracle for tests and the
-// honest baseline the scaling bench (homtrain -scale) measures speedups
-// against.
+// This file is the naive reference engine: the pre-optimization cost
+// model of the agglomeration loop, plugged in through the package-private
+// Options.agglomerate hook. It evaluates every candidate serially, copies
+// every record of both children at every merger, rescans the whole merged
+// test half even when a classifier is reused, and never prunes stale
+// edges. golden_test.go requires the optimized engine to match it merger
+// by merger, bit for bit, which makes it the oracle for the §II-D reuse
+// and early-stop optimizations.
 
 // agglomerateNaive is the serial reference counterpart of agglomerate.
 func (e *engine) agglomerateNaive(nodes []*node, complete bool) []*node {

@@ -9,8 +9,6 @@
 package compiled
 
 import (
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -53,8 +51,8 @@ func TestClassifyBatchAllocs(t *testing.T) {
 }
 
 // TestClassifyBatchThroughput is the records/s floor verify.sh enforces:
-// the compiled tree predictor must sustain at least
-// HOM_COMPILED_MIN_RPS records per second (default 1e6) on one core.
+// the compiled tree predictor must sustain at least 1M records per second
+// on one core.
 // The measurement drives the same ClassifyBatch kernel the serve layer
 // calls, over a post-observe predictor with a concentrated prior, so the
 // pruning fast path is representative of steady-state serving.
@@ -62,14 +60,7 @@ func TestClassifyBatchThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput floor skipped in -short mode")
 	}
-	floor := 1e6
-	if s := os.Getenv("HOM_COMPILED_MIN_RPS"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("HOM_COMPILED_MIN_RPS=%q: %v", s, err)
-		}
-		floor = v
-	}
+	const floor = 1e6
 	m := goldenModels(t)["tree"]
 	cm, err := Compile(m)
 	if err != nil {

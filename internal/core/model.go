@@ -56,10 +56,6 @@ type Options struct {
 	// Step2DeltaQ makes concept clustering's step 2 use the ΔQ merge
 	// strategy instead of model similarity (ablation; see cluster.Options).
 	Step2DeltaQ bool
-	// ReferenceEngine selects the clustering's retained naive reference
-	// engine (see cluster.Options.Reference): bit-identical results at the
-	// pre-optimization cost. Used by the scaling bench as its baseline.
-	ReferenceEngine bool
 	// CutSlack overrides the clustering cut slack (see cluster.Options);
 	// 0 keeps the default.
 	CutSlack float64
@@ -170,7 +166,6 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 		ReuseRatio:       o.ReuseRatio,
 		Workers:          o.Workers,
 		Step2DeltaQ:      o.Step2DeltaQ,
-		Reference:        o.ReferenceEngine,
 		CutSlack:         o.CutSlack,
 		Span:             build,
 	})

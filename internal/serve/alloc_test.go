@@ -1,15 +1,17 @@
 //go:build !race
 
 // Allocation ceilings for the JSON request decoder and the per-request
-// session lookup. AllocsPerRun is
-// meaningless under the race detector (it instruments allocations, and
-// sync.Pool drops items at random), so this file is excluded from the
-// -race run; verify.sh runs it in a separate non-race pass.
+// session lookup, and the heap bound per hot session. AllocsPerRun and
+// heap deltas are meaningless under the race detector (it instruments
+// allocations, and sync.Pool drops items at random), so this file is
+// excluded from the -race run; verify.sh runs it in a separate non-race
+// pass.
 
 package serve
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"highorder/internal/core"
@@ -71,6 +73,47 @@ func TestSessionGetAllocs(t *testing.T) {
 		s.Close()
 		if allocs != 0 {
 			t.Errorf("%s: sessionTable.get of a hot session makes %.0f allocs, want 0", name, allocs)
+		}
+	}
+}
+
+// TestHotSessionHeapBound pins the heap a hot session costs: the bound
+// doc.go states, 1 KiB per fresh session on the two-concept test model,
+// whether the store is memory-only or tiered with every session hot.
+func TestHotSessionHeapBound(t *testing.T) {
+	const (
+		sessions = 20000
+		bound    = 1024 // bytes of live heap per hot session
+	)
+	for _, tc := range []struct {
+		name string
+		tier TierOptions
+	}{
+		{"memory-only", TierOptions{}},
+		{"tiered", TierOptions{SpillDir: t.TempDir(), HotSessions: sessions}},
+	} {
+		s, err := NewTiered(testModel(), Options{MaxSessions: sessions, Tier: tc.tier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < sessions; i++ {
+			if _, err := s.table.create(core.PredictorOptions{}, ""); err != nil {
+				t.Fatalf("%s: create %d: %v", tc.name, i, err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if n := s.table.live(); n != sessions {
+			t.Fatalf("%s: %d live sessions, want %d", tc.name, n, sessions)
+		}
+		s.Close()
+		perSession := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / sessions
+		t.Logf("%s: %.0f B of heap per hot session (bound %d)", tc.name, perSession, bound)
+		if perSession > bound {
+			t.Errorf("%s: a hot session holds %.0f B of heap, bound is %d", tc.name, perSession, bound)
 		}
 	}
 }

@@ -15,6 +15,11 @@
 //     MaxSessions by default, or tiered to disk with a spill directory.
 //     One TTL rule, driven by the injectable clock, spills idle sessions;
 //     the store decides whether a spill demotes or discards.
+//   - A fresh hot session holds at most 1 KiB of heap on a two-concept
+//     model, in a memory-only or a tiered store (TestHotSessionHeapBound
+//     enforces it). Only a create the limit would refuse sweeps for
+//     expired sessions; below the limit the janitor owns expiry, so a
+//     create does not walk the hot set.
 //   - Classify and observe work flows through one bounded queue drained by
 //     a worker pool. A full queue answers 429 with Retry-After — explicit
 //     backpressure instead of unbounded goroutine pileup.
@@ -41,8 +46,9 @@
 //
 // Concretely:
 //
-//   - sessionTable.mu only serializes creates: the TTL sweep, the limit
-//     check, and the store Put run under it, in that order.
+//   - sessionTable.mu only serializes creates: the limit check, the TTL
+//     sweep a create at the limit runs, and the store Put run under it,
+//     in that order.
 //   - Lookups and listings take store.mu — the read side for a hot hit —
 //     and release it before touching any Session.mu. A spill holds the
 //     write side and calls Seal under it, which takes Session.mu to mark

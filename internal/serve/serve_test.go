@@ -84,6 +84,30 @@ func TestSessionTableSweepFreesCapacity(t *testing.T) {
 	}
 }
 
+// TestCreateBelowLimitSpillsNothing: below the session limit a create
+// leaves expiry to the janitor instead of walking every hot session, so
+// populating n sessions costs O(n), not O(n²). Expired sessions stay
+// live until a sweep or a create at the limit spills them.
+func TestCreateBelowLimitSpillsNothing(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1000, 0))
+	tab := New(testModel(), Options{SessionTTL: time.Minute, MaxSessions: 2000, Clock: fake.Clock()}).table
+	for i := 0; i < 1000; i++ {
+		if _, err := tab.create(core.PredictorOptions{}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fake.Advance(2 * time.Minute)
+	if _, err := tab.create(core.PredictorOptions{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := tab.evictedCount(); n != 0 {
+		t.Fatalf("a create below the limit spilled %d expired sessions, want 0", n)
+	}
+	if n := tab.live(); n != 1001 {
+		t.Fatalf("live = %d, want 1001", n)
+	}
+}
+
 func TestSessionIDsAreSequential(t *testing.T) {
 	tab := New(testModel(), Options{SessionTTL: time.Hour, MaxSessions: 10}).table
 	a, _ := tab.create(core.PredictorOptions{}, "")

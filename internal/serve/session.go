@@ -284,8 +284,10 @@ func (t *sessionTable) newSession(id string, opts core.PredictorOptions) *Sessio
 	return s
 }
 
-// create opens a new session. Expired sessions are spilled first, so a
-// full table of idle sessions does not refuse live clients. A non-empty
+// create opens a new session. Only a create the limit would refuse
+// spills expired sessions first, so a full table of idle sessions does
+// not refuse live clients; below the limit the janitor owns expiry, so a
+// create does not walk the hot set. A non-empty
 // id requests that exact session id (the gateway's cross-replica
 // namespace); an empty id selects the next sequential server-local one,
 // skipping ids recovered from disk. Creating an id that is already live
@@ -299,9 +301,11 @@ func (t *sessionTable) create(opts core.PredictorOptions, id string) (*Session, 
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.sweep()
 	if n := t.str.Count(); t.max > 0 && n >= t.max {
-		return nil, fmt.Errorf("%w (%d live)", ErrSessionLimit, n)
+		t.sweep()
+		if n = t.str.Count(); n >= t.max {
+			return nil, fmt.Errorf("%w (%d live)", ErrSessionLimit, n)
+		}
 	}
 	requested := id != ""
 	for {
