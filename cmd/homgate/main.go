@@ -95,8 +95,8 @@ func main() {
 	scaleInterval := flag.Duration("scale-interval", 2*time.Second, "autoscaler tick period")
 	highQueue := flag.Float64("scale-high-queue", 0, "scale up at this fleet-average queue depth (0 = default 8)")
 	highP99 := flag.Duration("scale-high-p99", 0, "scale up when any replica's classify p99 reaches this (0 = off)")
-	queue := flag.Int("queue", 0, "self-hosted replica queue depth (0 = default)")
-	workers := flag.Int("workers", 0, "self-hosted replica workers (0 = GOMAXPROCS)")
+	queue := flag.Int("queue", 0, "self-hosted replica: requests that may wait for an execution slot (0 = default)")
+	workers := flag.Int("workers", 0, "self-hosted replica: execution slots (0 = GOMAXPROCS)")
 	flightSample := flag.Uint64("flight-sample", 0, "flight recorder: keep ~1 in N traces on the gateway and self-hosted replicas (0 = off)")
 	flightSlots := flag.Int("flight-slots", 0, "flight recorder ring capacity in spans (0 = default 4096)")
 	flightDir := flag.String("flight-dir", "", "write fault-triggered flight dumps into this directory (with -flight-sample)")

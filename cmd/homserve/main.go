@@ -1,14 +1,15 @@
 // Command homserve serves a persisted high-order model as a concurrent
 // online-prediction HTTP service. Each client stream opens a session that
-// owns its active-probability state; classify and observe traffic flows
-// through a bounded queue with 429 backpressure; /metrics exposes
-// Prometheus-format counters. SIGINT/SIGTERM drain in-flight work before
-// exit.
+// owns its active-probability state; each classify and observe runs on its
+// own handler goroutine, at most -workers at once, with at most -queue
+// more waiting for a slot and 429 backpressure beyond that; /metrics
+// exposes Prometheus-format counters. SIGINT/SIGTERM drain in-flight work
+// before exit.
 //
 // Usage:
 //
 //	homserve -model model.gob [-addr :8080] [-queue 256] [-workers N]
-//	         [-micro-batch 8] [-ttl 15m] [-max-sessions 10000]
+//	         [-ttl 15m] [-max-sessions 10000]
 //	         [-request-timeout 10s] [-shed-depth 0]
 //	         [-debug-addr 127.0.0.1:6060]
 //	         [-flight-sample N] [-flight-slots 4096] [-flight-dir dumps/]
@@ -25,7 +26,8 @@
 // transparently on their next request, so the session population is
 // bounded by disk, not RAM. With -wal every acknowledged observe batch is
 // fsync'd to a write-ahead label log before the response, and replayed on
-// restart — acknowledged labels survive kill -9.
+// restart — acknowledged labels survive kill -9. -hot-sessions and -wal
+// need -spill-dir: without it homserve refuses to start.
 //
 // -flight-sample enables the always-on flight recorder: spans for ~1 in N
 // traces land in a fixed-size in-memory ring, dumpable on demand via
@@ -74,13 +76,12 @@ import (
 func main() {
 	modelPath := flag.String("model", "model.gob", "persisted high-order model")
 	addr := flag.String("addr", ":8080", "listen address")
-	queue := flag.Int("queue", 0, "bounded work-queue depth (0 = default 256)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	microBatch := flag.Int("micro-batch", 0, "max queued tasks one worker wakeup drains (0 = default 8)")
+	queue := flag.Int("queue", 0, "classify/observe requests that may wait for an execution slot before 429 (0 = default 256)")
+	workers := flag.Int("workers", 0, "execution slots: classify/observe requests run at once (0 = GOMAXPROCS)")
 	ttl := flag.Duration("ttl", 15*time.Minute, "idle session time-to-live")
 	maxSessions := flag.Int("max-sessions", 0, "live session limit (0 = default 10000)")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request queue deadline; expired tasks answer 503 without running (0 = default 10s)")
-	shedDepth := flag.Int("shed-depth", 0, "queue depth at which new work is shed with 503 before the queue is full (0 = disabled)")
+	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline for the slot and session-lock wait; expired requests answer 503 without running (0 = default 10s)")
+	shedDepth := flag.Int("shed-depth", 0, "waiting requests at which new work is shed with 503 before -queue is full (0 = disabled)")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for /debug/pprof/* and /debug/vars (off when empty)")
 	flightSample := flag.Uint64("flight-sample", 0, "flight recorder: keep ~1 in N traces (0 = recorder off, 1 = every trace)")
 	flightSlots := flag.Int("flight-slots", 0, "flight recorder ring capacity in spans (0 = default 4096)")
@@ -114,7 +115,6 @@ func main() {
 	s, err := serve.NewTiered(m, serve.Options{
 		QueueDepth:     *queue,
 		Workers:        *workers,
-		MicroBatch:     *microBatch,
 		SessionTTL:     *ttl,
 		MaxSessions:    *maxSessions,
 		RequestTimeout: *requestTimeout,

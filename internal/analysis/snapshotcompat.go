@@ -216,7 +216,7 @@ func renderFingerprint(version string, roots []*gobRootFact, modulePkgs map[*typ
 	queued := map[string]bool{}
 	var queue []*types.Named
 
-	enqueue := func(t types.Type) {
+	addType := func(t types.Type) {
 		named := namedOf(t)
 		if named == nil || named.Obj().Pkg() == nil || !modulePkgs[named.Obj().Pkg()] {
 			return
@@ -236,7 +236,7 @@ func renderFingerprint(version string, roots []*gobRootFact, modulePkgs map[*typ
 		}
 		switch v := t.(type) {
 		case *types.Named:
-			enqueue(v)
+			addType(v)
 		case *types.Pointer:
 			scanRefs(v.Elem(), depth+1)
 		case *types.Slice:

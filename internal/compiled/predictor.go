@@ -331,7 +331,7 @@ func (p *Predictor) predictValues(values []float64) int {
 
 // ClassifyBatch classifies every record of recs into preds (which must be
 // at least as long) in one pass with zero allocations — the serve layer's
-// micro-batch fast path. Each prediction is bit-identical to calling
+// batch classify fast path. Each prediction is bit-identical to calling
 // Predict per record.
 //
 //homlint:hotpath -- the serve batch classify path

@@ -114,7 +114,7 @@ func runChaosConversations(t *testing.T, seed int64, withSkew bool) {
 	inj := fault.New(seed, plan)
 
 	opts := serve.Options{
-		QueueDepth: 32, Workers: 4, MicroBatch: 4,
+		QueueDepth: 32, Workers: 4,
 		Fault: inj,
 	}
 	if withSkew {

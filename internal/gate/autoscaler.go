@@ -22,8 +22,8 @@ type Scaler interface {
 // ReplicaStats is one replica's scrape, reduced to the scaling signals.
 type ReplicaStats struct {
 	ID string
-	// QueueDepth is the instantaneous bounded-queue occupancy
-	// (homserve_queue_depth).
+	// QueueDepth is the instantaneous number of requests waiting for an
+	// execution slot (homserve_queue_depth).
 	QueueDepth float64
 	// Shed is the cumulative count of refused work: hom_shed_total plus
 	// homserve_rejected_total. The autoscaler differences it per tick.

@@ -44,7 +44,7 @@ type fleetMember struct {
 }
 
 // NewFleet returns an empty fleet whose replicas all serve model with
-// opts (each replica gets its own Server — its own queue, workers, and
+// opts (each replica gets its own Server — its own execution slots and
 // metrics registry).
 func NewFleet(model *core.Model, opts serve.Options) *Fleet {
 	return &Fleet{model: model, opts: opts, members: make(map[string]*fleetMember)}
@@ -95,7 +95,8 @@ func (f *Fleet) ScaleUp() (string, string, error) {
 }
 
 // ScaleDown gracefully retires a replica: the listener stops accepting,
-// then the serve.Server flushes its queue and exits. Implements Scaler.
+// then the serve.Server finishes its admitted requests and checkpoints.
+// Implements Scaler.
 func (f *Fleet) ScaleDown(id string) error {
 	m, err := f.take(id)
 	if err != nil {
@@ -107,7 +108,7 @@ func (f *Fleet) ScaleDown(id string) error {
 	return nil
 }
 
-// Kill hard-stops a replica with no drain: connections reset, queued
+// Kill hard-stops a replica with no drain: connections reset, waiting
 // work and session state are gone — the crash the health checker and the
 // migrator's recovery path exist for.
 func (f *Fleet) Kill(id string) error {

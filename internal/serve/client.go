@@ -36,7 +36,7 @@ func (e *HTTPError) Error() string {
 }
 
 // Retryable reports whether the request was refused by transient
-// backpressure — 429 (queue full) or 503 (shed, deadline lapsed,
+// backpressure — 429 (wait line full) or 503 (shed, deadline lapsed,
 // draining) — and safe to retry after RetryAfter. Both statuses are only
 // ever answered before predictor work executes, so retrying cannot
 // double-apply an observe.

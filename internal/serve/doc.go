@@ -20,29 +20,40 @@
 //     enforces it). Only a create the limit would refuse sweeps for
 //     expired sessions; below the limit the janitor owns expiry, so a
 //     create does not walk the hot set.
-//   - Classify and observe work flows through one bounded queue drained by
-//     a worker pool. A full queue answers 429 with Retry-After — explicit
-//     backpressure instead of unbounded goroutine pileup.
-//   - Workers micro-batch: each wakeup drains up to MicroBatch queued
-//     tasks and runs same-session tasks under a single lock acquisition.
-//   - Shutdown is graceful: the listener stops accepting, in-flight
-//     handlers drain through the queue, then workers exit.
+//   - A cold session costs at most 256 bytes on disk once the store is
+//     checkpointed: Close compacts the segments and truncates the WAL
+//     (TestColdSessionDiskBound, 5,000 sessions through a hot set of 16
+//     with the WAL on).
+//   - Each classify and observe runs on its own HTTP handler goroutine, as
+//     the paper's test-then-train stream never has two requests of one
+//     session in flight. Workers execution slots bound how many run at
+//     once; at most QueueDepth more wait for a slot, and one more answers
+//     429 with Retry-After — explicit backpressure instead of unbounded
+//     goroutine pileup. A request's whole life (slot wait, session lock,
+//     kernel, WAL append) is one function, runTask.
+//   - Shutdown is graceful: the listener stops accepting, Close answers
+//     new work 503 and waits for every admitted request, then the store
+//     checkpoints.
 //   - GET /metrics exposes Prometheus-format counters, latency histograms,
-//     queue depth, live sessions, and per-concept prediction counts.
+//     the number of requests waiting for a slot, live sessions, and
+//     per-concept prediction counts.
 //
 // # Lock order
 //
-// The serving stack holds three locks of its own — Server.qmu (queue
-// close guard), sessionTable.mu (create serialization), and Session.mu
-// (predictor serialization) — and reaches two of internal/store's:
-// store.mu (the session store's read-write lock) and shard.mu (tier-file
-// appends). Below them sit the locks inside internal/obs (Registry.mu,
-// per-family series locks, Histogram.mu). The derived acquisition order,
+// The serving stack holds three locks of its own — Server.qmu (the
+// admission guard Close takes to refuse new work), sessionTable.mu
+// (create serialization), and Session.mu (predictor serialization) — and
+// reaches two of internal/store's: store.mu (the session store's
+// read-write lock) and shard.mu (tier-file appends). Below them sit the
+// locks inside internal/obs (Registry.mu, per-family series locks,
+// Histogram.mu). The derived acquisition order,
 // verified by homlint's lockorder analyzer over the whole-module call
 // graph, is:
 //
 //	sessionTable.mu → store.mu → Session.mu → shard.mu  →  obs locks
-//	Server.qmu  →  obs locks
+//
+// Server.qmu is a leaf: a request holds its read side only to check the
+// guard and join the in-flight group, and acquires nothing under it.
 //
 // Concretely:
 //
@@ -53,19 +64,19 @@
 //     and release it before touching any Session.mu. A spill holds the
 //     write side and calls Seal under it, which takes Session.mu to mark
 //     the session stale; a tiered store then appends the snapshot under
-//     shard.mu. Handlers resolve a session, release, then enqueue;
-//     workers take Session.mu only after the dequeue and append to the
+//     shard.mu. A handler resolves a session and releases store.mu,
+//     takes an execution slot, then takes Session.mu and appends to the
 //     WAL (shard.mu) while holding it. TTL accounting (lastUsed) is
 //     atomic, so finding expired sessions never needs a session's lock.
 //   - obs locks are acquired after serve and store locks, never before:
 //     OnSpill and onRemove drop per-session metric series (family lock),
-//     and workers record counters and histograms while holding
+//     and handlers record counters and histograms while holding
 //     Session.mu.
 //   - obs never calls back into serve while holding one of its own locks:
 //     Registry.WriteText snapshots the family list under Registry.mu and
-//     releases it before rendering, so func-backed gauges (queue depth,
-//     live sessions, per-session active probabilities) may take store.mu
-//     and Session.mu without inverting the order.
+//     releases it before rendering, so func-backed gauges (waiting
+//     requests, live sessions, per-session active probabilities) may
+//     take store.mu and Session.mu without inverting the order.
 //
 // Any new code must follow the same direction: nothing may acquire a
 // serve or store lock while holding an obs lock, and nothing may acquire

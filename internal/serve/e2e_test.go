@@ -51,11 +51,11 @@ func toWire(recs []data.Record) (vectors [][]float64, classes []int) {
 // predictions and final active probabilities bit-identical to offline
 // core.Predictor replays of the same record sequences through the same
 // Session code path. Run under -race (verify.sh runs all tests with it),
-// this also exercises the session locks, the bounded queue, and the
-// micro-batching workers under real concurrency.
+// this also exercises the session locks and the execution slots under
+// real concurrency.
 func TestE2EServedMatchesOfflineReplay(t *testing.T) {
 	m := buildStaggerModel(t)
-	s := New(m, Options{QueueDepth: 32, Workers: 4, MicroBatch: 4})
+	s := New(m, Options{QueueDepth: 32, Workers: 4})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	defer func() {

@@ -13,10 +13,10 @@ import (
 	"highorder/internal/fault"
 )
 
-// TestLoadShed503 prefills the queue past ShedDepth (no workers started,
-// so nothing drains) and checks the HTTP surface answers 503 with a
+// TestLoadShed503 takes every execution slot and lets ShedDepth tasks
+// wait for one, then checks the HTTP surface answers 503 with a
 // Retry-After hint — the proactive shed path, distinct from the 429
-// answered when the queue is completely full.
+// answered when QueueDepth tasks are already waiting.
 func TestLoadShed503(t *testing.T) {
 	s := New(testModel(), Options{QueueDepth: 8, ShedDepth: 1, RetryAfter: 2 * time.Second})
 	ts := httptest.NewServer(s.Handler())
@@ -28,9 +28,9 @@ func TestLoadShed503(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, _ := s.table.get(created.ID)
-	if accepted, serving := s.enqueue(&task{kind: taskObserve, sess: sess, done: make(chan taskResult, 1)}); !accepted || !serving {
-		t.Fatal("prefill enqueue refused")
-	}
+	release := holdSlots(s)
+	codes := queueObserves(s, sess, 1)
+	awaitWaiting(t, s, 1)
 
 	_, err = c.Classify(created.ID, [][]float64{{0, 0, 0}}, false)
 	he, ok := err.(*HTTPError)
@@ -52,11 +52,16 @@ func TestLoadShed503(t *testing.T) {
 	if v, ok := MetricValue(text, "homserve_rejected_total"); !ok || v != 0 {
 		t.Fatalf("homserve_rejected_total = %v,%v; want 0", v, ok)
 	}
+	release()
+	if code := <-codes; code != http.StatusOK {
+		t.Fatalf("waiting task answered %d once a slot freed, want 200", code)
+	}
 }
 
-// TestDeadlineExpiry queues a task, advances a fake clock past the
-// request timeout before any worker runs, and checks the task is answered
-// 503 without the predictor being touched — the retry-safety guarantee.
+// TestDeadlineExpiry admits a task while every slot is held, advances a
+// fake clock past the request timeout before the task runs, and checks
+// the task is answered 503 without the predictor being touched — the
+// retry-safety guarantee.
 func TestDeadlineExpiry(t *testing.T) {
 	// clock.Fake is not concurrency-safe and the submitting goroutine
 	// reads the clock while this test advances it, so use an atomic
@@ -65,7 +70,8 @@ func TestDeadlineExpiry(t *testing.T) {
 	var offset atomic.Int64
 	clk := clock.Clock(func() time.Time { return epoch.Add(time.Duration(offset.Load())) })
 	s := New(testModel(), Options{Workers: 1, RequestTimeout: 50 * time.Millisecond, Clock: clk})
-	// Not started yet: the task must sit in the queue while the clock moves.
+	s.Start()
+	defer s.Close()
 	sess, err := s.table.create(core.PredictorOptions{}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -77,22 +83,17 @@ func TestDeadlineExpiry(t *testing.T) {
 		err  error
 	}
 	done := make(chan outcome, 1)
+	release := holdSlots(s)
 	go func() {
 		_, code, err := s.submit(&task{kind: taskObserve, sess: sess, recs: []data.Record{rec}})
 		done <- outcome{code, err}
 	}()
 
-	// Wait until the task is actually queued, then let its deadline lapse
-	// and start the workers.
-	for i := 0; len(s.queue) == 0; i++ {
-		if i > 1000 {
-			t.Fatal("task never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until the task waits for a slot, then let its deadline lapse
+	// and free the slot.
+	awaitWaiting(t, s, 1)
 	offset.Store(int64(time.Second))
-	s.Start()
-	defer s.Close()
+	release()
 
 	out := <-done
 	if out.code != http.StatusServiceUnavailable || out.err == nil {
@@ -145,7 +146,7 @@ func TestDegradedModeClears(t *testing.T) {
 }
 
 // TestQueueOverflowInjection: the QueueOverflow point forces the 429 path
-// with an empty queue and a running worker pool.
+// with free execution slots and nothing waiting.
 func TestQueueOverflowInjection(t *testing.T) {
 	inj := fault.New(5, fault.Plan{fault.QueueOverflow: {Prob: 1}})
 	s := New(testModel(), Options{Workers: 1, Fault: inj})

@@ -20,15 +20,18 @@ import (
 // FlightSpanRecord.Trace rendering.
 func traceOf(tc obs.TraceContext) string { return tc.HeaderValue()[:16] }
 
-// TestFlightDeadlineExpiryDump: a request whose deadline lapses in the
-// queue triggers an automatic flight dump that contains the offending
-// request's spans — the deadline-expiry marker on the request's own trace.
+// TestFlightDeadlineExpiryDump: a request whose deadline lapses while it
+// waits for a slot triggers an automatic flight dump that contains the
+// offending request's spans — the deadline-expiry marker on the request's
+// own trace.
 func TestFlightDeadlineExpiryDump(t *testing.T) {
 	epoch := time.Unix(9000, 0)
 	var offset atomic.Int64
 	clk := clock.Clock(func() time.Time { return epoch.Add(time.Duration(offset.Load())) })
 	rec := obs.NewRecorder(obs.FlightConfig{Proc: "r1", Seed: 4, Slots: 64, Clock: clk})
 	s := New(testModel(), Options{Workers: 1, RequestTimeout: 50 * time.Millisecond, Clock: clk, Recorder: rec})
+	s.Start()
+	defer s.Close()
 	sess, err := s.table.create(core.PredictorOptions{}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -37,19 +40,14 @@ func TestFlightDeadlineExpiryDump(t *testing.T) {
 	tc := rec.ForceTrace() // the doomed request's trace context
 	recd := data.Record{Values: []float64{0, 0, 0}, Class: 1}
 	done := make(chan error, 1)
+	release := holdSlots(s)
 	go func() {
 		_, _, err := s.submit(&task{kind: taskObserve, sess: sess, recs: []data.Record{recd}, tc: tc})
 		done <- err
 	}()
-	for i := 0; len(s.queue) == 0; i++ {
-		if i > 1000 {
-			t.Fatal("task never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiting(t, s, 1)
 	offset.Store(int64(time.Second))
-	s.Start()
-	defer s.Close()
+	release()
 	if err := <-done; err == nil {
 		t.Fatal("expired task did not error")
 	}

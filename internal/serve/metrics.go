@@ -15,7 +15,7 @@ var latencyBuckets = []float64{
 }
 
 // samplers supply the render-time values owned by other subsystems (the
-// queue, the session table). The metrics layer samples them on every
+// admission wait line, the session table). The metrics layer samples them on every
 // exposition instead of caching copies.
 type samplers struct {
 	queueDepth func() int64
@@ -63,15 +63,16 @@ type metrics struct {
 	switches *obs.CounterVec
 
 	// shedTotal counts 503 load-shed refusals (distinct from the 429 path
-	// counted by rejected); deadlineExpiredTotal counts queued tasks
-	// answered 503 because their deadline lapsed before execution.
+	// counted by rejected); deadlineExpiredTotal counts requests answered
+	// 503 because their deadline lapsed before they held their slot and
+	// their session lock.
 	shedTotal            *obs.Counter
 	deadlineExpiredTotal *obs.Counter
 
 	// hydrateSeconds times cold-tier rehydrations; nil without tiering.
 	hydrateSeconds *obs.Histogram
 	// spillRetryExhaustedTotal counts batches refused 503 because their
-	// session kept spilling out from under them (runTasks re-resolve cap)
+	// session kept spilling out from under them (runTask re-resolve cap)
 	// — the signature of a hot set sized below the concurrently active
 	// set. nil without tiering.
 	spillRetryExhaustedTotal *obs.Counter

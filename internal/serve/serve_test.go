@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"highorder/internal/compiled"
 	"highorder/internal/core"
 	"highorder/internal/data"
+	"highorder/internal/obs"
 )
 
 // testModel hand-builds a two-concept model over the Stagger schema, cheap
@@ -206,12 +208,51 @@ func TestMemoryOnlyReusesClosedSlots(t *testing.T) {
 	}
 }
 
-// TestBackpressure fills the bounded queue (no workers are started, so
-// nothing drains) and checks the HTTP surface answers 429 with a
-// Retry-After hint.
+// holdSlots takes every execution slot, so admitted tasks wait for one as
+// they would behind busy handlers, and returns the function that releases
+// them.
+func holdSlots(s *Server) (release func()) {
+	for i := 0; i < cap(s.slots); i++ {
+		s.slots <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < cap(s.slots); i++ {
+			<-s.slots
+		}
+	}
+}
+
+// awaitWaiting polls until exactly n admitted tasks wait for a slot.
+func awaitWaiting(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	for i := 0; s.waiting.Load() != n; i++ {
+		if i > 5000 {
+			t.Fatalf("%d tasks waiting for a slot, want %d", s.waiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// queueObserves submits n one-record observes for sess, each on its own
+// goroutine as n handlers would, and returns the channel their status
+// codes arrive on.
+func queueObserves(s *Server, sess *Session, n int) <-chan int {
+	codes := make(chan int, n)
+	rec := data.Record{Values: []float64{0, 0, 0}, Class: 1}
+	for i := 0; i < n; i++ {
+		go func() {
+			_, code, _ := s.submit(&task{kind: taskObserve, sess: sess, recs: []data.Record{rec}})
+			codes <- code
+		}()
+	}
+	return codes
+}
+
+// TestBackpressure takes every execution slot, lets QueueDepth tasks wait
+// for one, and checks the HTTP surface answers the next request 429 with
+// a Retry-After hint.
 func TestBackpressure(t *testing.T) {
 	s := New(testModel(), Options{QueueDepth: 2, RetryAfter: 3 * time.Second})
-	// Deliberately no Start(): the queue can only fill.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
@@ -221,11 +262,9 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, _ := s.table.get(created.ID)
-	for i := 0; i < 2; i++ {
-		if accepted, serving := s.enqueue(&task{kind: taskObserve, sess: sess, done: make(chan taskResult, 1)}); !accepted || !serving {
-			t.Fatalf("enqueue %d refused with empty capacity", i)
-		}
-	}
+	release := holdSlots(s)
+	codes := queueObserves(s, sess, 2)
+	awaitWaiting(t, s, 2)
 	_, err = c.Classify(created.ID, [][]float64{{0, 0, 0}}, false)
 	he, ok := err.(*HTTPError)
 	if !ok || he.Status != http.StatusTooManyRequests {
@@ -245,40 +284,56 @@ func TestBackpressure(t *testing.T) {
 	if v, ok := MetricValue(text, "homserve_queue_depth"); !ok || v != 2 {
 		t.Fatalf("homserve_queue_depth = %v,%v; want 2", v, ok)
 	}
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("waiting task %d answered %d once a slot freed, want 200", i, code)
+		}
+	}
 }
 
-// TestMicroBatchGroupsBySession runs runBatch directly over interleaved
-// tasks of two sessions and checks every task completes and same-session
-// order is preserved (the observe counter must rise monotonically).
-func TestMicroBatchGroupsBySession(t *testing.T) {
-	m := testModel()
-	s := New(m, Options{})
-	a, _ := s.table.create(core.PredictorOptions{}, "")
-	b, _ := s.table.create(core.PredictorOptions{}, "")
-
-	rec := data.Record{Values: []float64{0, 0, 0}, Class: 1}
-	var batch []*task
-	for i := 0; i < 3; i++ {
-		batch = append(batch,
-			&task{kind: taskObserve, sess: a, recs: []data.Record{rec}, done: make(chan taskResult, 1)},
-			&task{kind: taskObserve, sess: b, recs: []data.Record{rec}, done: make(chan taskResult, 1)},
-		)
-	}
-	s.runBatch(batch)
-	wantA, wantB := 0, 0
-	for i, tk := range batch {
-		res := <-tk.done
-		if tk.sess == a {
-			wantA++
-			if res.observe.Observed != wantA {
-				t.Fatalf("task %d (session a): observed = %d, want %d", i, res.observe.Observed, wantA)
-			}
-		} else {
-			wantB++
-			if res.observe.Observed != wantB {
-				t.Fatalf("task %d (session b): observed = %d, want %d", i, res.observe.Observed, wantB)
-			}
+// TestWorkersBoundConcurrentTasks: Workers bounds how many tasks execute
+// at once. Five sessions observe concurrently over two slots, and each
+// observe blocks inside its session's sink until released: two run, three
+// wait for a slot, and no more than two ever run together. The waiting
+// count is read directly — a /metrics scrape would block on the held
+// session locks, because the per-session collectors lock every session.
+func TestWorkersBoundConcurrentTasks(t *testing.T) {
+	s := New(testModel(), Options{Workers: 2})
+	const sessions = 5
+	var running, peak atomic.Int64
+	entered := make(chan struct{}, sessions)
+	unblock := make(chan struct{})
+	var codes []<-chan int
+	for i := 0; i < sessions; i++ {
+		sess, err := s.table.create(core.PredictorOptions{}, "")
+		if err != nil {
+			t.Fatal(err)
 		}
+		sess.setSink(obs.FuncSink(func(obs.PredictorEvent) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			entered <- struct{}{}
+			<-unblock
+			running.Add(-1)
+		}))
+		codes = append(codes, queueObserves(s, sess, 1))
+	}
+	<-entered
+	<-entered
+	awaitWaiting(t, s, sessions-2)
+	if n := running.Load(); n != 2 {
+		t.Fatalf("%d observes running with Workers 2", n)
+	}
+	close(unblock)
+	for i, c := range codes {
+		if code := <-c; code != http.StatusOK {
+			t.Fatalf("session %d observe answered %d, want 200", i, code)
+		}
+	}
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("peak concurrent observes = %d, want 2", p)
 	}
 }
 
@@ -286,7 +341,7 @@ func TestMicroBatchGroupsBySession(t *testing.T) {
 // running server, closes it, and checks every request completed and the
 // metrics add up — no dropped-but-unreported work.
 func TestServerLifecycle(t *testing.T) {
-	s := New(testModel(), Options{QueueDepth: 64, Workers: 4, MicroBatch: 4})
+	s := New(testModel(), Options{QueueDepth: 64, Workers: 4})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	c := NewClient(ts.URL, nil)
@@ -356,9 +411,9 @@ func TestServerLifecycle(t *testing.T) {
 
 	ts.Close()
 	s.Close()
-	// After Close the queue refuses work instead of panicking.
-	if _, serving := s.enqueue(&task{done: make(chan taskResult, 1)}); serving {
-		t.Fatal("enqueue accepted work after Close")
+	// After Close the admission guard refuses work with 503.
+	if _, code, err := s.submit(&task{}); err == nil || code != http.StatusServiceUnavailable {
+		t.Fatalf("submit after Close: code=%d err=%v, want 503", code, err)
 	}
 }
 

@@ -26,13 +26,13 @@ import (
 
 // Options configure a Server. The zero value selects sane defaults.
 type Options struct {
-	// QueueDepth bounds the classify/observe work queue; <= 0 selects 256.
+	// QueueDepth bounds how many classify/observe requests may wait for an
+	// execution slot; one more is refused 429. <= 0 selects 256.
 	QueueDepth int
-	// Workers is the worker-pool size; <= 0 selects GOMAXPROCS.
+	// Workers is the number of execution slots: at most this many
+	// classify/observe requests run at once, each on its own handler
+	// goroutine. <= 0 selects GOMAXPROCS.
 	Workers int
-	// MicroBatch is the maximum number of queued tasks one worker wakeup
-	// drains and executes together; <= 0 selects 8, 1 disables batching.
-	MicroBatch int
 	// SessionTTL evicts sessions idle longer than this; <= 0 selects
 	// 15 minutes. To disable eviction set a very large TTL. The janitor
 	// sweeps every SessionTTL/4, and at least once a second.
@@ -41,16 +41,17 @@ type Options struct {
 	MaxSessions int
 	// RetryAfter is the Retry-After hint on 429 responses; <= 0 selects 1s.
 	RetryAfter time.Duration
-	// RequestTimeout bounds how long a queued task may wait before
-	// execution: a task dequeued after its deadline is answered 503
-	// without touching the predictor, so the result is never ambiguous —
-	// either the work was applied and acknowledged, or it provably was
-	// not. <= 0 selects 10 seconds.
+	// RequestTimeout bounds how long a classify/observe request may wait
+	// for its execution slot and its session lock: a request that holds
+	// both after its deadline is answered 503 without touching the
+	// predictor, so the result is never ambiguous — either the work was
+	// applied and acknowledged, or it provably was not. <= 0 selects 10
+	// seconds.
 	RequestTimeout time.Duration
 	// ShedDepth sheds classify/observe work with 503 + Retry-After before
-	// it is enqueued once the queue holds at least this many tasks —
-	// proactive load shedding, distinct from the 429 answered when the
-	// queue is completely full. 0 disables shedding.
+	// it waits once at least this many requests are waiting for a slot —
+	// proactive load shedding, distinct from the 429 answered when
+	// QueueDepth requests are already waiting. 0 disables shedding.
 	ShedDepth int
 	// Clock supplies time for TTL accounting and latency metrics; nil
 	// selects the wall clock. Tests inject a clock.Fake.
@@ -72,8 +73,9 @@ type Options struct {
 	// Tier configures the tiered session store (bounded hot set, disk
 	// spill, write-ahead label log). The zero value keeps sessions in a
 	// memory-only store bounded by MaxSessions; setting SpillDir enables
-	// tiering. Servers with tiering must be built with NewTiered so the
-	// spill-directory open error can be handled.
+	// tiering, and the other tier settings need it. Servers with tiering
+	// must be built with NewTiered so the spill-directory open error can
+	// be handled.
 	Tier TierOptions
 }
 
@@ -83,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MicroBatch <= 0 {
-		o.MicroBatch = 8
 	}
 	if o.SessionTTL <= 0 {
 		o.SessionTTL = 15 * time.Minute
@@ -103,7 +102,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// taskKind distinguishes queued work.
+// taskKind distinguishes classify from observe work.
 type taskKind int
 
 const (
@@ -130,7 +129,7 @@ var faultReasons = func() [fault.NumPoints]string {
 	return rs
 }()
 
-// task is one unit of queued predictor work plus its reply channel.
+// task is one classify or observe request's predictor work.
 type task struct {
 	kind      taskKind
 	sess      *Session
@@ -139,24 +138,11 @@ type task struct {
 	// tc is the request's trace context (adopted from X-Hom-Trace), so
 	// the span recorded at execution time joins the caller's trace.
 	tc obs.TraceContext
-	// deadline is checked at dequeue time: an expired task is answered
-	// without touching the predictor, so the caller can safely retry.
-	deadline time.Time
-	done     chan taskResult
 }
 
 type taskResult struct {
 	classify ClassifyResponse
 	observe  ObserveResponse
-	// expired marks a task whose deadline passed while it sat in the
-	// queue; the predictor was not touched.
-	expired bool
-	// err reports an execution failure. A session spilled out from under
-	// the task is retryable (503 + Retry-After: the predictor was not
-	// touched). An applied observe that could not be durably logged is
-	// NOT — the batch is live in memory and a retry would double-apply
-	// it — so errQuarantined is answered 500 without a retry hint.
-	err error
 }
 
 // errQuarantined marks a session whose in-memory predictor absorbed an
@@ -167,8 +153,8 @@ type taskResult struct {
 // non-retryably and removed, so clients recreate it from durable state.
 var errQuarantined = errors.New("observe applied in memory but not durably logged; session quarantined and removed — recreate it")
 
-// maxSpillResolves bounds how often runTasks chases a session that keeps
-// spilling out from under its queued tasks before refusing them 503;
+// maxSpillResolves bounds how often runTask chases a session that keeps
+// spilling out from under its task before refusing it 503;
 // exhaustions are counted in hom_spill_retry_exhausted_total.
 const maxSpillResolves = 8
 
@@ -183,12 +169,20 @@ type Server struct {
 	// memory-only otherwise.
 	store *store.Store[*Session]
 
-	queue chan *task
-	// qmu guards qclosed against concurrent enqueues; Close takes the
-	// write side so no handler can send on a closed channel.
-	qmu     sync.RWMutex
-	qclosed bool
+	// slots holds one token per classify/observe request executing on
+	// its handler goroutine; its capacity is Options.Workers. waiting
+	// counts the requests blocked for a slot (homserve_queue_depth), at
+	// most Options.QueueDepth.
+	slots   chan struct{}
+	waiting atomic.Int64
+	// qmu guards qclosed, the admission guard: a request joins inflight
+	// under the read side only while qclosed is false, and Close takes the
+	// write side, so Close's inflight.Wait covers every admitted request.
+	qmu      sync.RWMutex
+	qclosed  bool
+	inflight sync.WaitGroup
 
+	// wg tracks the TTL janitor.
 	wg         sync.WaitGroup
 	janitorEnd chan struct{}
 	startOnce  sync.Once
@@ -197,13 +191,13 @@ type Server struct {
 
 	// draining, when set, refuses *new* sessions (create and admin
 	// restore) with 503 + Retry-After while existing sessions keep
-	// classifying and flushing queued observes — the state a gateway puts
+	// classifying and observing — the state a gateway puts
 	// a replica in before migrating its sessions away and removing it
 	// from the ring. Toggled by POST /admin/drain or SetDraining.
 	draining atomic.Bool
 }
 
-// New builds a server over m. Call Start to launch the worker pool, then
+// New builds a server over m. Call Start to launch the TTL janitor, then
 // expose Handler via an http.Server (or use Serve, which does both).
 // Compiling the model or, with tiering enabled (Options.Tier.SpillDir
 // set), opening the spill directory can fail; New panics where NewTiered
@@ -218,10 +212,13 @@ func New(m *core.Model, opts Options) *Server {
 }
 
 // NewTiered is New with the boot errors surfaced: a model the compiler
-// rejects (internal/compiled names the concept), or a
-// corrupted-beyond-salvage or unwritable spill directory, refuses to
-// serve rather than silently starting empty.
+// rejects (internal/compiled names the concept), tier settings without a
+// spill directory, or a corrupted-beyond-salvage or unwritable spill
+// directory, refuses to serve rather than silently starting empty.
 func NewTiered(m *core.Model, opts Options) (*Server, error) {
+	if err := opts.Tier.check(); err != nil {
+		return nil, err
+	}
 	cm, err := compiled.Compile(m)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -233,11 +230,11 @@ func NewTiered(m *core.Model, opts Options) (*Server, error) {
 		opts:       o,
 		clk:        clk,
 		table:      &sessionTable{clk: clk, ttl: o.SessionTTL, max: o.MaxSessions, model: cm},
-		queue:      make(chan *task, o.QueueDepth),
+		slots:      make(chan struct{}, o.Workers),
 		janitorEnd: make(chan struct{}),
 	}
 	s.metrics = newMetrics(m.Schema.NumClasses(), m.NumConcepts(), samplers{
-		queueDepth: func() int64 { return int64(len(s.queue)) },
+		queueDepth: s.waiting.Load,
 		live:       func() int64 { return int64(s.table.live()) },
 		evicted:    s.table.evictedCount,
 		activeProbs: func(emit func(session string, concept int, p float64)) {
@@ -341,32 +338,29 @@ func (s *Server) handleFlightDump(w http.ResponseWriter, r *http.Request) {
 	_ = rec.WriteDump(w, "manual")
 }
 
-// Start launches the worker pool and the TTL janitor. Idempotent.
+// Start launches the TTL janitor. Idempotent.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
-		for i := 0; i < s.opts.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
 		s.wg.Add(1)
 		go s.janitor()
 	})
 }
 
-// Close drains the queue and stops the workers. It must only be called
-// once no new requests can arrive (after the HTTP server has shut down).
-// Idempotent.
+// Close refuses new classify/observe work with 503, waits for every
+// admitted request to finish, stops the janitor, and checkpoints the
+// store. It must only be called once no new requests can arrive (after
+// the HTTP server has shut down). Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.qmu.Lock()
 		s.qclosed = true
-		close(s.queue)
 		s.qmu.Unlock()
 		close(s.janitorEnd)
 		s.wg.Wait()
-		// Checkpoint after the last worker: a tiered store snapshots every
-		// hot session to its segment and truncates the WAL, so the next
-		// start recovers from compact snapshots with an empty log.
+		s.inflight.Wait()
+		// Checkpoint after the last request: a tiered store snapshots
+		// every hot session to its segment and truncates the WAL, so the
+		// next start recovers from compact snapshots with an empty log.
 		_ = s.store.Close()
 	})
 }
@@ -374,9 +368,9 @@ func (s *Server) Close() {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Serve starts the workers and serves HTTP on l until ctx is cancelled,
+// Serve starts the janitor and serves HTTP on l until ctx is cancelled,
 // then shuts down gracefully: the listener closes, in-flight requests
-// drain through the queue, workers exit.
+// finish, and the store is checkpointed.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	s.Start()
 	hs := &http.Server{Handler: s.mux}
@@ -400,84 +394,93 @@ func (s *Server) Model() *core.Model { return s.model }
 
 // SetDraining toggles drain mode: while draining the server answers new
 // session creations (and admin restores) with 503 + Retry-After but keeps
-// serving and flushing work for existing sessions. In-process equivalent
-// of POST /admin/drain.
+// serving existing sessions. In-process equivalent of POST /admin/drain.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Draining reports whether the server is refusing new sessions.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// worker drains the queue until Close. Each wakeup takes one task and
-// opportunistically up to MicroBatch-1 more without blocking, then runs
-// same-session tasks under a single session-lock acquisition.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		batch := s.drainBatch(t)
-		s.runBatch(batch)
-	}
-}
-
-func (s *Server) drainBatch(first *task) []*task {
-	batch := []*task{first}
-	for len(batch) < s.opts.MicroBatch {
-		select {
-		case t, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, t)
-		default:
-			return batch
+// submit runs predictor work on the calling handler goroutine. Admission
+// is bounded: Workers requests execute at once, QueueDepth more may wait
+// for a slot, and a request whose deadline lapses before it holds its slot
+// and its session lock is answered 503 without touching the predictor
+// (retry-safe by construction).
+func (s *Server) submit(t *task) (taskResult, int, error) {
+	if d := s.opts.ShedDepth; d > 0 {
+		if n := s.waiting.Load(); n >= int64(d) {
+			s.metrics.shed()
+			s.opts.Recorder.Instant(t.tc, flightShed, n)
+			s.opts.Recorder.Trigger("shed")
+			return taskResult{}, http.StatusServiceUnavailable,
+				fmt.Errorf("overloaded: %d requests waiting reached shed threshold %d", n, d)
 		}
 	}
-	return batch
-}
-
-// runBatch groups the drained tasks by session (stable, preserving queue
-// order within a session) and executes each group under one lock.
-func (s *Server) runBatch(batch []*task) {
-	processed := make([]bool, len(batch))
-	group := make([]*task, 0, len(batch))
-	for i := range batch {
-		if processed[i] {
-			continue
-		}
-		sess := batch[i].sess
-		group = group[:0]
-		for j := i; j < len(batch); j++ {
-			if !processed[j] && batch[j].sess == sess {
-				processed[j] = true
-				group = append(group, batch[j])
-			}
-		}
-		s.runTasks(sess, group)
+	s.qmu.RLock()
+	if s.qclosed {
+		s.qmu.RUnlock()
+		return taskResult{}, http.StatusServiceUnavailable, errors.New("server is shutting down")
 	}
+	s.inflight.Add(1)
+	s.qmu.RUnlock()
+	defer s.inflight.Done()
+	return s.runTask(t)
 }
 
-// runTasks executes queued tasks for one session under one lock
-// acquisition — the micro-batching fast path. Tasks whose deadline passed
-// in the queue are answered expired before the predictor is touched, so a
-// deadline 503 never leaves ambiguous state.
-func (s *Server) runTasks(sess *Session, tasks []*task) {
+// acquireSlot takes one of the Workers execution slots, waiting behind at
+// most QueueDepth other requests; a full wait line, or an injected
+// QueueOverflow fault, answers 429 without waiting.
+func (s *Server) acquireSlot() (int, error) {
+	if s.opts.Fault.Fire(fault.QueueOverflow) {
+		// Injected saturation: refuse as if the wait line were full,
+		// exercising the 429 backpressure path end to end.
+		s.metrics.reject()
+		return http.StatusTooManyRequests, fmt.Errorf("queue full (injected, %d requests)", s.opts.QueueDepth)
+	}
+	select {
+	case s.slots <- struct{}{}:
+		return http.StatusOK, nil
+	default:
+	}
+	n := s.waiting.Add(1)
+	if n > int64(s.opts.QueueDepth) {
+		s.waiting.Add(-1)
+		s.metrics.reject()
+		return http.StatusTooManyRequests, fmt.Errorf("queue full (%d requests waiting)", s.opts.QueueDepth)
+	}
+	s.metrics.observeQueueDepth(int(n))
+	s.slots <- struct{}{}
+	s.waiting.Add(-1)
+	return http.StatusOK, nil
+}
+
+// runTask executes one admitted task: it waits for an execution slot,
+// takes the session lock, runs the predictor, and — for an applied
+// observe with the WAL on — appends the batch to the label log before it
+// returns. A task whose deadline lapsed while it waited is answered 503
+// before the predictor is touched, so a deadline 503 never leaves
+// ambiguous state.
+func (s *Server) runTask(t *task) (taskResult, int, error) {
 	m, rec := s.metrics, s.opts.Recorder
-	// The session pointer bound at enqueue time may have been spilled
-	// (its state moved to disk, or dropped by a memory-only store) while
-	// the tasks queued. Mutating a spilled value would be silently lost,
-	// so re-resolve through the table — which rehydrates, or answers not
-	// found — until the value we hold the lock on is the live one.
-	// Bounded: under pathological eviction pressure the tasks are refused
-	// retryably rather than applied to a dead object, with the exhaustion
-	// counted in hom_spill_retry_exhausted_total so hot-set thrash is
-	// visible to operators rather than blending into other 503s.
+	deadline := s.clk().Add(s.opts.RequestTimeout)
+	if code, err := s.acquireSlot(); err != nil {
+		return taskResult{}, code, err
+	}
+	defer func() { <-s.slots }()
+	// The session pointer bound when the request resolved it may have
+	// been spilled (its state moved to disk, or dropped by a memory-only
+	// store) while the task waited. Mutating a spilled value would be
+	// silently lost, so re-resolve through the table — which rehydrates,
+	// or answers not found — until the value we hold the lock on is the
+	// live one. Bounded: under pathological eviction pressure the task is
+	// refused retryably rather than applied to a dead object, with the
+	// exhaustion counted in hom_spill_retry_exhausted_total so hot-set
+	// thrash is visible to operators rather than blending into other 503s.
+	sess := t.sess
 	for attempt := 0; ; attempt++ {
 		sess.mu.Lock()
 		if sess.quarantined.Load() {
 			sess.mu.Unlock()
-			for _, t := range tasks {
-				t.done <- taskResult{err: fmt.Errorf("session %q: %w", sess.id, errQuarantined)}
-			}
-			return
+			return taskResult{}, http.StatusInternalServerError, fmt.Errorf("session %q: %w", sess.id, errQuarantined)
 		}
 		if !sess.spilled {
 			break
@@ -491,82 +494,69 @@ func (s *Server) runTasks(sess *Session, tasks []*task) {
 			m.spillRetryExhausted()
 		}
 		if !found {
-			err := fmt.Errorf("session %q spilled mid-request (closed or under heavy eviction); retry", sess.id)
-			for _, t := range tasks {
-				t.done <- taskResult{err: err}
-			}
-			return
+			return taskResult{}, http.StatusServiceUnavailable,
+				fmt.Errorf("session %q spilled mid-request (closed or under heavy eviction); retry", sess.id)
 		}
 		sess = fresh
 	}
-	quarantined := false
-	for _, t := range tasks {
-		var res taskResult
-		if quarantined {
-			// An earlier task in this batch diverged the session; nothing
-			// further may trust or extend it.
-			res.err = fmt.Errorf("session %q: %w", sess.id, errQuarantined)
-			t.done <- res
-			continue
+	if s.clk().After(deadline) {
+		sess.mu.Unlock()
+		m.deadlineExpired()
+		// Capture the ring around the incident: the expired request's own
+		// spans (recorded upstream on its trace) are still in it.
+		rec.Instant(t.tc, flightDeadline, 0)
+		rec.Trigger("deadline_expired")
+		return taskResult{}, http.StatusServiceUnavailable,
+			fmt.Errorf("deadline exceeded: request waited longer than %v for a slot and its session (not executed)", s.opts.RequestTimeout)
+	}
+	var res taskResult
+	var err error
+	code, quarantined := http.StatusOK, false
+	sess.curTC = t.tc
+	switch t.kind {
+	case taskClassify:
+		fsp := rec.Start(t.tc, flightClassify)
+		res.classify = sess.classifyLocked(t.recs, t.withProba)
+		fsp.SetSession(sess.ID())
+		fsp.SetArg(int64(len(t.recs)))
+		fsp.End()
+		m.classified(res.classify.Predictions, res.classify.MAPConcept)
+	case taskObserve:
+		if d := s.opts.Fault.Delay(fault.LabelDelay); d > 0 {
+			s.opts.Sleep.Sleep(d)
 		}
-		if !t.deadline.IsZero() && s.clk().After(t.deadline) {
-			res.expired = true
-			m.deadlineExpired()
-			// Capture the ring around the incident: the expired request's
-			// own spans (recorded upstream on its trace) are still in it.
-			rec.Instant(t.tc, flightDeadline, 0)
-			rec.Trigger("deadline_expired")
-			t.done <- res
-			continue
-		}
-		sess.curTC = t.tc
-		switch t.kind {
-		case taskClassify:
-			fsp := rec.Start(t.tc, flightClassify)
-			res.classify = sess.classifyLocked(t.recs, t.withProba)
-			fsp.SetSession(sess.ID())
-			fsp.SetArg(int64(len(t.recs)))
-			fsp.End()
-			m.classified(res.classify.Predictions, res.classify.MAPConcept)
-		case taskObserve:
-			if d := s.opts.Fault.Delay(fault.LabelDelay); d > 0 {
-				s.opts.Sleep.Sleep(d)
-			}
-			fsp := rec.Start(t.tc, flightObserve)
-			res.observe = sess.observeLocked(t.recs, s.opts.Fault)
-			fsp.SetSession(sess.ID())
-			fsp.SetArg(int64(len(t.recs)))
-			fsp.End()
-			m.observed(res.observe.Applied)
-			if s.opts.Tier.WAL && res.observe.Applied > 0 {
-				// WAL-before-ack: the applied records are fsync'd to the
-				// label log before the response is released. A crash after
-				// this line loses nothing acknowledged; a crash before it
-				// means the batch was never acked and the client retries.
-				if err := s.logObserve(sess, t.recs, &res.observe); err != nil {
-					if errors.Is(err, store.ErrInjectedCrash) {
-						// The simulated process died mid-append: the batch
-						// was never acknowledged, and the poisoned store
-						// refuses every retry until restart — safe to
-						// answer retryably.
-						res.err = err
-					} else {
-						// Real WAL I/O failure: the batch is live in this
-						// predictor but not durable. Inviting a retry
-						// would double-apply it, so quarantine the session
-						// — refuse it non-retryably and drop it (below,
-						// after the lock is released).
-						sess.quarantined.Store(true)
-						quarantined = true
-						m.sessionQuarantined()
-						res.err = fmt.Errorf("session %q: %w (%v)", sess.id, errQuarantined, err)
-					}
+		fsp := rec.Start(t.tc, flightObserve)
+		res.observe = sess.observeLocked(t.recs, s.opts.Fault)
+		fsp.SetSession(sess.ID())
+		fsp.SetArg(int64(len(t.recs)))
+		fsp.End()
+		m.observed(res.observe.Applied)
+		if s.opts.Tier.WAL && res.observe.Applied > 0 {
+			// WAL-before-ack: the applied records are fsync'd to the label
+			// log before the response is released. A crash after this line
+			// loses nothing acknowledged; a crash before it means the batch
+			// was never acked and the client retries.
+			if err = s.logObserve(sess, t.recs, &res.observe); err != nil {
+				// The simulated process died mid-append (an injected crash):
+				// the batch was never acknowledged, and the poisoned store
+				// refuses every retry until restart — safe to answer
+				// retryably.
+				code = http.StatusServiceUnavailable
+				if !errors.Is(err, store.ErrInjectedCrash) {
+					// Real WAL I/O failure: the batch is live in this
+					// predictor but not durable. Inviting a retry would
+					// double-apply it, so quarantine the session — refuse it
+					// non-retryably (500 carries no Retry-After) and drop it
+					// once the lock is released.
+					sess.quarantined.Store(true)
+					quarantined = true
+					m.sessionQuarantined()
+					code, err = http.StatusInternalServerError, fmt.Errorf("session %q: %w (%v)", sess.id, errQuarantined, err)
 				}
 			}
 		}
-		sess.curTC = obs.TraceContext{}
-		t.done <- res
 	}
+	sess.curTC = obs.TraceContext{}
 	sess.mu.Unlock()
 	if quarantined {
 		// Drop the diverged session from both tiers (best-effort durable
@@ -575,70 +565,10 @@ func (s *Server) runTasks(sess *Session, tasks []*task) {
 		// the acknowledged and durable histories still agreed.
 		s.table.remove(sess.id)
 	}
-}
-
-// enqueue submits a task, reporting (accepted, serving). Not accepted +
-// serving means the queue is full (backpressure); not serving means the
-// server is draining.
-func (s *Server) enqueue(t *task) (accepted, serving bool) {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
-	if s.qclosed {
-		return false, false
+	if err != nil {
+		return taskResult{}, code, err
 	}
-	if s.opts.Fault.Fire(fault.QueueOverflow) {
-		// Injected saturation: report the queue full without enqueueing,
-		// exercising the 429 backpressure path end to end.
-		return false, true
-	}
-	select {
-	case s.queue <- t:
-		s.metrics.observeQueueDepth(len(s.queue))
-		return true, true
-	default:
-		return false, true
-	}
-}
-
-// submit queues predictor work and waits for the result. The wait is
-// bounded: the queue is bounded, every queued task is executed, and tasks
-// whose per-request deadline lapses in the queue are answered 503 without
-// touching the predictor (retry-safe by construction).
-func (s *Server) submit(t *task) (taskResult, int, error) {
-	if d := s.opts.ShedDepth; d > 0 && len(s.queue) >= d {
-		s.metrics.shed()
-		s.opts.Recorder.Instant(t.tc, flightShed, int64(len(s.queue)))
-		s.opts.Recorder.Trigger("shed")
-		return taskResult{}, http.StatusServiceUnavailable,
-			fmt.Errorf("overloaded: queue depth %d reached shed threshold %d", len(s.queue), d)
-	}
-	if s.opts.RequestTimeout > 0 {
-		t.deadline = s.clk().Add(s.opts.RequestTimeout)
-	}
-	t.done = make(chan taskResult, 1)
-	accepted, serving := s.enqueue(t)
-	if !serving {
-		return taskResult{}, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down")
-	}
-	if !accepted {
-		s.metrics.reject()
-		return taskResult{}, http.StatusTooManyRequests, fmt.Errorf("queue full (%d tasks)", s.opts.QueueDepth)
-	}
-	res := <-t.done
-	if res.expired {
-		return taskResult{}, http.StatusServiceUnavailable,
-			fmt.Errorf("deadline exceeded: task waited longer than %v in queue (not executed)", s.opts.RequestTimeout)
-	}
-	if res.err != nil {
-		if errors.Is(res.err, errQuarantined) {
-			// Not a transient refusal: the batch was applied but not
-			// durably logged, so a retry would double-apply it. 500
-			// carries no Retry-After and the client treats it as final.
-			return taskResult{}, http.StatusInternalServerError, res.err
-		}
-		return taskResult{}, http.StatusServiceUnavailable, res.err
-	}
-	return res, http.StatusOK, nil
+	return res, code, nil
 }
 
 // janitor sweeps expired sessions every SessionTTL/4 (at least once a
@@ -714,8 +644,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	// Both backpressure answers carry a retry hint: 429 (queue full) and
-	// 503 (shed, deadline lapsed, or draining) are transient by contract.
+	// Both backpressure answers carry a retry hint: 429 (wait line full)
+	// and 503 (shed, deadline lapsed, or draining) are transient by
+	// contract.
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
 	}

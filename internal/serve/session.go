@@ -55,7 +55,7 @@ type Session struct {
 	// lives on disk now (or, in a memory-only store, is gone), and
 	// mutating this object would be silently lost. Holders of a stale
 	// pointer must check it under mu and re-resolve through the table (see
-	// Server.runTasks).
+	// Server.runTask).
 	spilled bool
 
 	// lastUsed is the unix-nano timestamp of the last table access, read
@@ -74,7 +74,7 @@ type Session struct {
 	// WAL I/O failure, not an injected crash): its live state has
 	// diverged from what a restart would recover, and a retry of the
 	// failed batch would double-apply it. Quarantined sessions are
-	// refused non-retryably and removed (see Server.runTasks).
+	// refused non-retryably and removed (see Server.runTask).
 	quarantined atomic.Bool
 }
 
@@ -99,9 +99,9 @@ func (s *Session) Classify(recs []data.Record, withProba bool) ClassifyResponse 
 	return s.classifyLocked(recs, withProba)
 }
 
-// classifyLocked is Classify with s.mu already held — the worker pool's
-// micro-batching path calls it directly to amortize one lock acquisition
-// over several queued tasks.
+// classifyLocked is Classify with s.mu already held — the server's
+// runTask calls it under the lock it took after re-resolving a spilled
+// session and checking the request's deadline.
 //
 //homlint:hotpath -- per-record serve classify loop
 func (s *Session) classifyLocked(recs []data.Record, withProba bool) ClassifyResponse {

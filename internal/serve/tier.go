@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"highorder/internal/core"
 	"highorder/internal/data"
@@ -19,7 +20,8 @@ import (
 type TierOptions struct {
 	// SpillDir is the directory holding the per-shard segment/WAL files.
 	// Empty disables tiering entirely: sessions live in a memory-only
-	// store bounded by Options.MaxSessions and die with the process.
+	// store bounded by Options.MaxSessions and die with the process, and
+	// NewTiered refuses the other tier settings.
 	SpillDir string
 	// HotSessions bounds the in-memory hot set; <= 0 selects 1024.
 	HotSessions int
@@ -34,14 +36,32 @@ type TierOptions struct {
 
 func (t TierOptions) enabled() bool { return t.SpillDir != "" }
 
-// withDefaults fills in the hot-set bound when tiering is enabled and
-// clears every setting when it is not, so a WAL is on only with a spill
-// directory.
-func (t TierOptions) withDefaults() TierOptions {
-	if !t.enabled() {
-		return TierOptions{}
+// check refuses tier settings that need a spill directory when none is
+// set: a memory-only store has no log to write, no hot set to bound and
+// no files to shard, so they would be silently ignored.
+func (t TierOptions) check() error {
+	if t.enabled() {
+		return nil
 	}
-	if t.HotSessions <= 0 {
+	var set []string
+	if t.WAL {
+		set = append(set, "WAL")
+	}
+	if t.HotSessions > 0 {
+		set = append(set, "HotSessions")
+	}
+	if t.Shards > 0 {
+		set = append(set, "Shards")
+	}
+	if len(set) > 0 {
+		return fmt.Errorf("serve: tier settings %s need a SpillDir", strings.Join(set, ", "))
+	}
+	return nil
+}
+
+// withDefaults fills in the hot-set bound when tiering is enabled.
+func (t TierOptions) withDefaults() TierOptions {
+	if t.enabled() && t.HotSessions <= 0 {
 		t.HotSessions = 1024
 	}
 	return t
@@ -107,7 +127,7 @@ func (s *Server) tierCallbacks() store.Callbacks[*Session] {
 			// Runs before the spill snapshot is taken: an observe batch
 			// racing the spill either completes first (and the snapshot
 			// captures it) or sees the mark and re-resolves through the
-			// table (Server.runTasks). Marking after the snapshot instead
+			// table (Server.runTask). Marking after the snapshot instead
 			// would let an acknowledged batch land in the stale value and
 			// vanish on the next hydration.
 			sess.markSpilled()

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"errors"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -435,4 +437,160 @@ func TestAppliedRecords(t *testing.T) {
 	if &appliedRecords(recs, nil)[0] != &recs[0] {
 		t.Fatal("no-drop case should return the input slice unchanged")
 	}
+}
+
+// TestSpilledWhileWaitingRehydrates: a session spilled while its observe
+// waits for a slot must not absorb the batch in the stale value. The task
+// re-resolves it through the table, so the batch lands in the rehydrated
+// copy and the served state stays bit-identical to the twin.
+func TestSpilledWhileWaitingRehydrates(t *testing.T) {
+	s, err := NewTiered(testModel(), Options{
+		Workers: 1,
+		Tier:    TierOptions{SpillDir: t.TempDir(), HotSessions: 4, WAL: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	records, classes := tierWire(6)
+	recs, err := decodeRecords(s.model.Schema, records, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := s.table.create(core.PredictorOptions{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.submit(&task{kind: taskObserve, sess: sess, recs: recs[:3]}); err != nil {
+		t.Fatal(err)
+	}
+
+	release := holdSlots(s)
+	type outcome struct {
+		res  taskResult
+		code int
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, code, err := s.submit(&task{kind: taskObserve, sess: sess, recs: recs[3:]})
+		done <- outcome{res, code, err}
+	}()
+	awaitWaiting(t, s, 1)
+	if !s.table.spill(sess.ID()) {
+		t.Fatal("spill of the waiting task's session refused")
+	}
+	if st := s.store.Stats(); st.Hot != 0 || st.Cold != 1 {
+		t.Fatalf("after spill: stats = %+v, want the session cold", st)
+	}
+	release()
+
+	out := <-done
+	if out.err != nil || out.code != http.StatusOK {
+		t.Fatalf("observe after spill: code=%d err=%v, want 200", out.code, out.err)
+	}
+	if out.res.observe.Observed != len(recs) {
+		t.Fatalf("observed = %d, want %d", out.res.observe.Observed, len(recs))
+	}
+	fresh, ok := s.table.get(sess.ID())
+	if !ok {
+		t.Fatal("session lost after the spill")
+	}
+	if fresh == sess {
+		t.Fatal("the spilled value is still the live session")
+	}
+	requireBitIdentical(t, fresh.State(), twinState(t, s.model, records, classes))
+	if s.store.Stats().Hydrates < 1 {
+		t.Fatal("the task did not rehydrate its session")
+	}
+}
+
+// TestTierSettingsNeedSpillDir: a WAL, hot-set bound or shard count
+// without a spill directory is refused at boot instead of silently
+// serving from a memory-only store.
+func TestTierSettingsNeedSpillDir(t *testing.T) {
+	cases := []struct {
+		name string
+		tier TierOptions
+		ok   bool
+	}{
+		{"wal", TierOptions{WAL: true}, false},
+		{"hot sessions", TierOptions{HotSessions: 8}, false},
+		{"shards", TierOptions{Shards: 2}, false},
+		{"memory-only", TierOptions{}, true},
+		{"spill dir and wal", TierOptions{SpillDir: t.TempDir(), WAL: true}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewTiered(testModel(), Options{Tier: tc.tier})
+			if !tc.ok {
+				if err == nil {
+					s.Close()
+					t.Fatalf("NewTiered(%+v) opened, want a refusal", tc.tier)
+				}
+				if !strings.Contains(err.Error(), "SpillDir") {
+					t.Fatalf("refusal %q does not name SpillDir", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("NewTiered(%+v): %v", tc.tier, err)
+			}
+			s.Close()
+		})
+	}
+}
+
+// TestColdSessionDiskBound pins the bytes a checkpointed store keeps per
+// session: 5,000 sessions of three labelled records each, through a hot
+// set of 16 with the WAL on, take at most 256 B per session on disk once
+// Close has compacted the segments and truncated the WAL.
+func TestColdSessionDiskBound(t *testing.T) {
+	const sessions, perSessionBytes = 5000, 256
+	dir := t.TempDir()
+	s, err := NewTiered(testModel(), Options{
+		MaxSessions: sessions,
+		Tier:        TierOptions{SpillDir: dir, HotSessions: 16, WAL: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, classes := tierWire(3)
+	recs, err := decodeRecords(s.model.Schema, records, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sessions; i++ {
+		sess, err := s.table.create(core.PredictorOptions{}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.submit(&task{kind: taskObserve, sess: sess, recs: recs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if live := s.table.live(); live != sessions {
+		t.Fatalf("live = %d, want %d", live, sessions)
+	}
+	s.Close()
+
+	var total int64
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		total += info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := total / sessions; per > perSessionBytes {
+		t.Fatalf("spill directory holds %d B for %d sessions: %d B per session, bound %d", total, sessions, per, perSessionBytes)
+	}
+	t.Logf("%d B on disk for %d sessions (%d B per session)", total, sessions, total/sessions)
 }

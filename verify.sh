@@ -2,8 +2,9 @@
 # verify.sh — the repository's tier-1 verification gate.
 #
 # Runs, in order: formatting, vet, build, the full test suite under the
-# race detector, the allocation, heap and records/s ceilings the race
-# detector would skew, the cross-engine identity of the merge loop, short
+# race detector, the serving admission path repeated under it, the
+# allocation, heap, disk and records/s ceilings the race detector would
+# skew, the cross-engine identity of the merge loop, short
 # fuzz passes over the CSV parsers, the serving API decoder, the tree
 # grower, and the homlint directive grammar, the benchmark module's own
 # tests, a coverage floor on the fault-hardened serving packages, the
@@ -41,26 +42,36 @@ go build ./...
 step "go test -race ./..."
 go test -race ./...
 
+# Classify and observe run on their handler goroutines; the only
+# synchronization between them is the execution-slot channel, the
+# waiting counter and the close guard. Repeat the tests that drive that
+# admission path (backpressure, shedding, deadline expiry, the slot bound,
+# a session spilled while its task waits, graceful close) under the race
+# detector, so a rare interleaving shows up here rather than in production.
+step "admission path under -race"
+go test -race ./internal/serve -run 'Backpressure|LoadShed503|DeadlineExpiry|WorkersBound|SpilledWhileWaiting|ServerLifecycle|FlightDeadline' -count=20
+
 # The race detector skews allocation counts, so the AllocsPerRun
 # ceilings (similarityEdge, zero-copy view iteration, the flight
 # recorder's disabled/unsampled 0-alloc paths, the tree grower's
 # grown-nodes-only allocations, the exposition renderer's and the JSON
 # request decoder's constant allocations, and the zero-allocation hot
 # session lookup over a memory-only and a tiered store), the heap bound
-# per hot session (1 KiB, memory-only and tiered), and the benchmark
-# smoke run without it.
-step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store, internal/serve incl. session lookup and heap per session)"
+# per hot session (1 KiB, memory-only and tiered), the disk bound per
+# checkpointed cold session (256 B), and the benchmark smoke run without
+# it.
+step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store, internal/serve incl. session lookup, heap per session and disk per cold session)"
 go test ./internal/cluster ./internal/data ./internal/tree -run Allocs -count=1
 go test ./internal/obs -run Allocs -count=1
 go test ./internal/store -run Allocs -count=1
-go test ./internal/serve -run 'Allocs|HeapBound' -count=1
+go test ./internal/serve -run 'Allocs|HeapBound|DiskBound' -count=1
 
 # The compiled classify hot path contract: ClassifyBatch allocates
 # nothing per call for any compiled base learner, the interpreted
 # Predict/PredictProba twins stay 0-alloc too, and both the compiled
 # kernel and the whole binary-codec classify path through a loopback HTTP
-# server (queue, session table, codec; client and server on the same
-# core) sustain at least 1M records/s pinned to one core — constant
+# server (execution slots, session table, codec; client and server on
+# the same core) sustain at least 1M records/s pinned to one core — constant
 # floors, in internal/compiled and internal/serve
 # TestClassifyBatchThroughput and TestBinaryClassifyThroughput. The -race
 # pass above already proves the compiled and interpreted predictors
@@ -167,8 +178,9 @@ go run ./cmd/homlint -baseline lint/baseline.json -sarif results/homlint.sarif .
 # phase tracing on, recording the build into the flight recorder, whose
 # dump homtrace must render with every pipeline phase on one trace — and
 # push one session of load through an in-process homserve (loopback
-# HTTP, the bounded queue, micro-batching workers, graceful drain).
-# homload exits nonzero on any failed or unaccounted request.
+# HTTP, the execution slots, graceful drain). homload exits nonzero on
+# any failed or unaccounted request and on a served session that is not
+# bit-identical to its offline twin.
 step "homserve/homload smoke (1 session, 200 records, traced build)"
 smoketmp=$(mktemp -d)
 trap 'rm -rf "$smoketmp"' EXIT
@@ -196,8 +208,9 @@ go run ./cmd/homload -model "$smoketmp/model.gob" -sessions 1 -records 200 \
 	-batch 16 -out "$smoketmp/homload.json"
 
 # Compiled serving smoke: the same model over the binary wire codec,
-# through the live HTTP stack. Its records/s floor is
-# TestBinaryClassifyThroughput, in the compiled hot-path step above.
+# through the live HTTP stack, with the same accounting and offline-twin
+# checks. Its records/s floor is TestBinaryClassifyThroughput, in the
+# compiled hot-path step above.
 step "compiled serve smoke: binary codec"
 go run ./cmd/homload -model "$smoketmp/model.gob" -sessions 1 -records 200 \
 	-batch 16 -codec binary -out "$smoketmp/homload_binary.json"
