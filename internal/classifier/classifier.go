@@ -36,6 +36,30 @@ type Learner interface {
 	Name() string
 }
 
+// OrderedLearner is a Learner that can keep the presorted form of a
+// training set and train on the concatenation of two such sets without
+// sorting it again. The concept-clustering engine trains nearly every
+// candidate merger on exactly such a concatenation; learners without this
+// interface train it through Train.
+type OrderedLearner interface {
+	Learner
+	// NewOrder presorts d. It fails where Train(d) would fail on d's
+	// values.
+	NewOrder(d *data.Dataset) (Order, error)
+	// ConcatOrder returns the order of x's records followed by y's.
+	ConcatOrder(x, y Order) Order
+	// TrainConcat trains on d, which holds x's records followed by y's,
+	// and returns the classifier Train(d) would.
+	TrainConcat(d *data.Dataset, x, y Order) (Classifier, error)
+}
+
+// Order is an OrderedLearner's presorted form of one training set. Only
+// the learner that made it can read it.
+type Order interface {
+	// Len returns the number of records the order covers.
+	Len() int
+}
+
 // ErrorRate returns the fraction of records in d misclassified by c.
 // An empty dataset yields 0.
 func ErrorRate(c Classifier, d *data.Dataset) float64 {

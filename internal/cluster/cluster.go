@@ -53,11 +53,14 @@ type Options struct {
 	// of retraining. 0 disables reuse.
 	ReuseRatio float64
 
-	// Workers is the number of goroutines used for the independent
-	// classifier trainings of the build (leaf initialization and initial
-	// candidate-merger evaluation). Results are deterministic regardless
-	// of Workers because every unit of work has its own pre-assigned
-	// random source. <= 0 selects GOMAXPROCS.
+	// Workers is the build's parallelism: the goroutines that run its
+	// independent trainings and evaluations in every phase (leaf
+	// training, initial candidate mergers, per-merger re-evaluations and
+	// prediction caching), counting the calling goroutine, which works
+	// alongside Workers−1 helpers. Results are bit-identical whatever
+	// Workers is: every unit of work writes its own slot, and every random
+	// draw is made in a fixed order before the work is dispatched. <= 0
+	// selects GOMAXPROCS.
 	Workers int
 
 	// mergeLog, when non-nil, receives one record per executed merger in
@@ -254,6 +257,7 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	}
 	src := rng.New(o.Seed)
 	eng := &engine{opts: o, learner: o.Learner, src: src}
+	eng.ordered, _ = o.Learner.(classifier.OrderedLearner)
 	eng.pool = newWorkerPool(eng.workers())
 	defer eng.pool.close()
 	agglomerate := (*engine).agglomerate
@@ -306,8 +310,10 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	spChunk.End()
 
 	// Step 2: chunks → concepts, over a complete graph. Chunk nodes carry
-	// their models and holdout halves forward; reset ids and dendrogram
-	// links so they become fresh leaves.
+	// their models, holdout halves and orders forward; reset ids and
+	// dendrogram links so they become fresh leaves. A chunk the cut took
+	// from inside a step-1 dendrogram was merged away and has no order, so
+	// the mergers it takes part in sort their training sets.
 	step2 := make([]*node, len(chunkNodes))
 	for i, c := range chunkNodes {
 		step2[i] = &node{
@@ -315,6 +321,7 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 			all:       c.all,
 			train:     c.train,
 			test:      c.test,
+			order:     c.order,
 			model:     c.model,
 			err:       c.err,
 			testWrong: c.testWrong,

@@ -15,6 +15,9 @@ import (
 type engine struct {
 	opts    Options
 	learner classifier.Learner
+	// ordered is learner's OrderedLearner side, nil when it has none:
+	// nodes then carry no order and every training sorts from scratch.
+	ordered classifier.OrderedLearner
 	src     *rng.Source
 	stats   Stats
 	nextID  int
@@ -89,20 +92,24 @@ func errorRate(wrong, n int) float64 {
 }
 
 // makeLeaves builds all input nodes, training their models in parallel.
-// Each block's holdout split draws from its own source, pre-assigned
-// sequentially, so the result is independent of the worker count
-// (Algorithm 1, lines 2–7).
+// Each block's holdout split draws from its own source, seeded from a
+// draw pre-assigned sequentially (exactly what rng.Split draws), so the
+// result is independent of the worker count (Algorithm 1, lines 2–7).
 func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 	nodes := make([]*node, len(blocks))
-	sources := make([]*rng.Source, len(blocks))
+	seeds := make([]int64, len(blocks))
 	for i := range blocks {
-		sources[i] = e.src.Split()
+		seeds[i] = e.src.Int63()
 	}
 	errs := make([]error, len(blocks))
 	e.pool.run(len(blocks), func(i int) {
-		train, test := blocks[i].SplitHoldout(sources[i])
+		train, test := blocks[i].SplitHoldout(rng.New(seeds[i]))
 		e.recordsCopied.Add(int64(blocks[i].Len()))
 		model, err := e.train(train)
+		var order classifier.Order
+		if err == nil && e.ordered != nil {
+			order, err = e.ordered.NewOrder(train)
+		}
 		if err != nil {
 			errs[i] = fmt.Errorf("cluster: step 1 leaf %d: %w", i, err) //homlint:allow hotpathalloc -- error construction on the failure path only
 			return
@@ -114,6 +121,7 @@ func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 			all:       data.ViewOf(blocks[i]),
 			train:     data.ViewOf(train),
 			test:      data.ViewOf(test),
+			order:     order,
 			model:     model,
 			err:       errRate,
 			testWrong: wrong,
@@ -132,6 +140,17 @@ func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 func (e *engine) train(d *data.Dataset) (classifier.Classifier, error) {
 	e.modelsTrained.Add(1)
 	return e.learner.Train(d)
+}
+
+// trainConcat trains on d, which holds x's train half followed by y's,
+// merging the two halves' orders when both have one instead of sorting d.
+// Either way it trains the classifier e.train(d) would.
+func (e *engine) trainConcat(d *data.Dataset, x, y *node) (classifier.Classifier, error) {
+	if x.order == nil || y.order == nil {
+		return e.train(d)
+	}
+	e.modelsTrained.Add(1)
+	return e.ordered.TrainConcat(d, x.order, y.order)
 }
 
 // prepareSamples builds the shared sample list L from the nodes' test
@@ -488,7 +507,7 @@ func (e *engine) evalMerged(u, v *node) *mergedEval {
 		return &mergedEval{model: big.model, err: errorRate(wrong, testLen), wrong: wrong}
 	}
 	train := e.materialize(big.train.Concat(small.train))
-	model, err := e.train(train)
+	model, err := e.trainConcat(train, big, small)
 	if err != nil {
 		// Training on a merged non-empty dataset cannot fail for the
 		// learners in this repository; treat it as a programming error.
@@ -540,6 +559,12 @@ func (e *engine) merge(ed *edge) *node {
 		left:      u,
 		right:     v,
 	}
+	// w.train is u's half followed by v's, so its order is the merge of
+	// theirs; the children's orders are dead from here on.
+	if u.order != nil && v.order != nil {
+		w.order = e.ordered.ConcatOrder(u.order, v.order)
+	}
+	u.order, v.order = nil, nil
 	w.members = append(append([]int{}, u.members...), v.members...)
 	childStar := (float64(u.size())*u.errStar + float64(v.size())*v.errStar) / float64(w.size())
 	w.errStar = w.err

@@ -3,22 +3,21 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"highorder/internal/bayes"
 	"highorder/internal/classifier"
+	"highorder/internal/data"
 	"highorder/internal/synth"
 	"highorder/internal/tree"
 )
 
-// goldenRun clusters the 6000-record stagger stream with one engine
-// configuration and returns the full merge log plus the clustering. With
-// reference set, the naive loop of naive_test.go runs instead of the
-// optimized one.
-func goldenRun(t *testing.T, learner classifier.Learner, workers int, reuse float64, reference bool) ([]mergeRecord, *Clustering) {
+// goldenRun clusters history d with one engine configuration and returns
+// the full merge log plus the clustering. With reference set, the naive
+// loop of naive_test.go runs instead of the optimized one.
+func goldenRun(t *testing.T, d *data.Dataset, learner classifier.Learner, workers int, reuse float64, reference bool) ([]mergeRecord, *Clustering) {
 	t.Helper()
-	g := synth.NewStagger(synth.StaggerConfig{Seed: 41})
-	d := synth.TakeDataset(g, 6000)
 	var log []mergeRecord
 	opts := Options{
 		Learner:   learner,
@@ -135,6 +134,18 @@ func diffDendrograms(t *testing.T, label string, want, got []*DendrogramNode) {
 	}
 }
 
+// concatCounter is the tree learner counting the trainings it runs from
+// two merged orders, so a golden row can show it exercised them.
+type concatCounter struct {
+	*tree.Learner
+	n atomic.Int64
+}
+
+func (c *concatCounter) TrainConcat(d *data.Dataset, x, y classifier.Order) (classifier.Classifier, error) {
+	c.n.Add(1)
+	return c.Learner.TrainConcat(d, x, y)
+}
+
 // TestGoldenEquivalence is the equivalence contract of the optimized
 // engine: for both base learners, a sparing and a full reuse ratio, and
 // every worker count, the zero-copy parallel engine must execute the exact
@@ -143,33 +154,62 @@ func diffDendrograms(t *testing.T, label string, want, got []*DendrogramNode) {
 // occurrences, concepts, per-record assignments, and dendrograms. At
 // reuse 1 every merger reuses the larger child's classifier, so the
 // mistake-count recombination carries the whole build.
+//
+// Stagger has only nominal attributes, so its trees never sort a column.
+// The noisy SEA (3 numeric attributes) and Intrusion (34 numeric, 7
+// nominal, many ties) rows make the optimized engine train its mergers
+// from the children's merged column orders, while the naive loop trains
+// every merger through plain Train: an independent oracle for the merge.
 func TestGoldenEquivalence(t *testing.T) {
-	learners := []struct {
-		name string
-		mk   func() classifier.Learner
+	stagger := synth.TakeDataset(synth.NewStagger(synth.StaggerConfig{Seed: 41}), 6000)
+	sea := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 42, Noise: 0.1}), 3000)
+	intrusion := synth.TakeDataset(synth.NewIntrusion(synth.IntrusionConfig{Seed: 43}), 1000)
+	rows := []struct {
+		name    string
+		d       *data.Dataset
+		mk      func() classifier.Learner
+		reuses  []float64
+		numeric bool
 	}{
-		{"tree", func() classifier.Learner { return tree.NewLearner() }},
-		{"bayes", func() classifier.Learner { return bayes.NewLearner() }},
+		{"tree", stagger, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05, 1}, false},
+		{"bayes", stagger, func() classifier.Learner { return bayes.NewLearner() }, []float64{0.05, 1}, false},
+		{"tree-sea-noise", sea, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05}, true},
+		{"tree-intrusion", intrusion, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05}, true},
 	}
-	for _, lc := range learners {
-		t.Run(lc.name, func(t *testing.T) {
-			for _, reuse := range []float64{0.05, 1} {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for _, reuse := range row.reuses {
 				t.Run(fmt.Sprintf("reuse=%g", reuse), func(t *testing.T) {
-					refLog, refCl := goldenRun(t, lc.mk(), 1, reuse, true)
+					refLog, refCl := goldenRun(t, row.d, row.mk(), 1, reuse, true)
 					if len(refLog) == 0 {
 						t.Fatal("reference run executed no mergers; the test is vacuous")
 					}
-					if refCl.Stats.ModelsReused == 0 {
+					// The numeric rows are there for the merged orders, and the
+					// concat counter below is their non-vacuity check.
+					if refCl.Stats.ModelsReused == 0 && !row.numeric {
 						t.Fatal("reference run reused no classifiers; the reuse path is untested")
 					}
 					for _, workers := range []int{1, 2, 8} {
-						log, cl := goldenRun(t, lc.mk(), workers, reuse, false)
-						label := fmt.Sprintf("%s/reuse=%g/workers=%d", lc.name, reuse, workers)
+						learner := row.mk()
+						counter := &concatCounter{}
+						if tl, ok := learner.(*tree.Learner); ok && row.numeric {
+							counter.Learner = tl
+							learner = counter
+						}
+						log, cl := goldenRun(t, row.d, learner, workers, reuse, false)
+						label := fmt.Sprintf("%s/reuse=%g/workers=%d", row.name, reuse, workers)
 						diffMergeLogs(t, label, refLog, log)
-						diffClusterings(t, label, refCl, cl, 6000)
+						diffClusterings(t, label, refCl, cl, row.d.Len())
 						if cl.Stats.ModelsReused != refCl.Stats.ModelsReused {
 							t.Fatalf("%s: optimized engine reused %d models, reference %d",
 								label, cl.Stats.ModelsReused, refCl.Stats.ModelsReused)
+						}
+						if cl.Stats.ModelsTrained != refCl.Stats.ModelsTrained {
+							t.Fatalf("%s: optimized engine trained %d models, reference %d",
+								label, cl.Stats.ModelsTrained, refCl.Stats.ModelsTrained)
+						}
+						if row.numeric && counter.n.Load() == 0 {
+							t.Fatalf("%s: no merger trained from merged orders; the merge is untested", label)
 						}
 					}
 				})

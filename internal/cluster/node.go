@@ -24,6 +24,11 @@ type node struct {
 	// on train and Err is measured on test.
 	train *data.View
 	test  *data.View
+	// order is train's presorted form when the learner keeps one
+	// (classifier.OrderedLearner): built from the leaf's train half, then
+	// merged from the children's at every merger, which drops theirs. nil
+	// for merged-away nodes and for learners without orders.
+	order classifier.Order
 
 	model classifier.Classifier
 	// err is Err_u, the holdout validation error of model, and testWrong

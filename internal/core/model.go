@@ -50,8 +50,9 @@ type Options struct {
 	// EmpiricalTransitions replaces Eq. 6's frequency-based χ with the
 	// smoothed empirical occurrence-transition matrix (ablation extension).
 	EmpiricalTransitions bool
-	// Workers is the training parallelism of the build (see
-	// cluster.Options.Workers); <= 0 selects GOMAXPROCS.
+	// Workers is the build's concept-clustering parallelism, counting the
+	// calling goroutine (see cluster.Options.Workers); the model does not
+	// depend on it. <= 0 selects GOMAXPROCS.
 	Workers int
 	// Step2DeltaQ makes concept clustering's step 2 use the ΔQ merge
 	// strategy instead of model similarity (ablation; see cluster.Options).

@@ -10,13 +10,15 @@ package tree
 import (
 	"testing"
 
+	"highorder/internal/data"
 	"highorder/internal/synth"
 )
 
 // TestTrainAllocs pins the grower's allocations: beyond a small constant
 // (the grower, the Tree, an occasional scratch refill after a GC empties
 // the pool), only the grown nodes allocate — each its Node and Dist, and
-// each internal node its Children.
+// each internal node its Children. Training from two merged orders holds
+// to the same ceiling: the merge writes into the grower's scratch lists.
 func TestTrainAllocs(t *testing.T) {
 	d := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 13, Noise: 0.1}), 2000)
 	l := &Learner{Opts: Options{Confidence: 1}}
@@ -34,5 +36,23 @@ func TestTrainAllocs(t *testing.T) {
 	})
 	if got > ceiling {
 		t.Fatalf("Train allocates %.0f per call, want <= %.0f (%d nodes, %d internal)", got, ceiling, tr.Size(), internal)
+	}
+
+	split := d.Len() / 3
+	ox, err := NewOrder(&data.Dataset{Schema: d.Schema, Records: d.Records[:split]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oy, err := NewOrder(&data.Dataset{Schema: d.Schema, Records: d.Records[split:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = testing.AllocsPerRun(20, func() {
+		if _, err := l.TrainConcat(d, ox, oy); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Fatalf("TrainConcat allocates %.0f per call, want <= %.0f (%d nodes, %d internal)", got, ceiling, tr.Size(), internal)
 	}
 }

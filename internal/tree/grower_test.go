@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -46,16 +47,96 @@ func sameTree(a, b *Node, path string) string {
 	return ""
 }
 
-// checkAgainstReference trains d with the production and the reference
-// grower and fails on the first node that differs.
-func checkAgainstReference(t *testing.T, d *data.Dataset, opts Options) {
+// checkAgainstReference trains d with the production grower twice —
+// sorting d, and merging the orders of x = d[:split] and y = d[split:] —
+// and with the reference grower, and fails on the first node that
+// differs.
+func checkAgainstReference(t *testing.T, d *data.Dataset, opts Options, split int) {
 	t.Helper()
-	c, err := (&Learner{Opts: opts}).Train(d)
+	ref := refTrain(d, opts)
+	l := &Learner{Opts: opts}
+	c, err := l.Train(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := sameTree(c.(*Tree).Root, refTrain(d, opts), "root"); diff != "" {
+	if diff := sameTree(c.(*Tree).Root, ref, "root"); diff != "" {
 		t.Fatal(diff)
+	}
+	x, y := splitOrders(t, d, split)
+	c, err = l.TrainConcat(d, x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameTree(c.(*Tree).Root, ref, "root"); diff != "" {
+		t.Fatalf("TrainConcat at split %d: %s", split, diff)
+	}
+}
+
+// splitOrders returns the orders of d[:split] and d[split:].
+func splitOrders(t *testing.T, d *data.Dataset, split int) (*Order, *Order) {
+	t.Helper()
+	x, err := NewOrder(&data.Dataset{Schema: d.Schema, Records: d.Records[:split]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := NewOrder(&data.Dataset{Schema: d.Schema, Records: d.Records[split:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y
+}
+
+// checkOrder reports the first difference between o and the threshold
+// order of d computed independently — a stable sort of the record indices
+// by value per numeric attribute, as the reference grower sorts — index
+// for index and value bit for bit; "" means identical.
+func checkOrder(o *Order, d *data.Dataset) string {
+	if o.Len() != d.Len() {
+		return fmt.Sprintf("order covers %d records, want %d", o.Len(), d.Len())
+	}
+	k := 0
+	for a, attr := range d.Schema.Attributes {
+		if attr.Kind != data.Numeric {
+			continue
+		}
+		want := make([]int32, d.Len())
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			return d.Records[want[i]].Values[a] < d.Records[want[j]].Values[a]
+		})
+		pos, vals := o.column(k)
+		for j := range want {
+			if pos[j] != want[j] || math.Float64bits(vals[j]) != math.Float64bits(d.Records[want[j]].Values[a]) {
+				return fmt.Sprintf("attribute %q position %d: record %d (value %v), want record %d (value %v)",
+					attr.Name, j, pos[j], vals[j], want[j], d.Records[want[j]].Values[a])
+			}
+		}
+		k++
+	}
+	if k != o.cols {
+		return fmt.Sprintf("order has %d columns, want %d", o.cols, k)
+	}
+	return ""
+}
+
+// checkOrders requires NewOrder(d), and ConcatOrder of the orders of
+// d[:split] and d[split:], to equal d's threshold order index for index.
+// Comparing the orders themselves matters: a wrong tie rule in the merge
+// can leave every tree of a test set unchanged.
+func checkOrders(t *testing.T, d *data.Dataset, split int) {
+	t.Helper()
+	whole, err := NewOrder(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := checkOrder(whole, d); diff != "" {
+		t.Fatalf("NewOrder: %s", diff)
+	}
+	x, y := splitOrders(t, d, split)
+	if diff := checkOrder(ConcatOrder(x, y), d); diff != "" {
+		t.Fatalf("ConcatOrder at split %d: %s", split, diff)
 	}
 }
 
@@ -126,9 +207,12 @@ func TestGrowerMatchesReference(t *testing.T) {
 		{"cf0.05", Options{Confidence: 0.05}},
 	}
 	for _, s := range streams {
+		t.Run(s.name+"/orders", func(t *testing.T) {
+			checkOrders(t, s.d, s.d.Len()/3)
+		})
 		for _, v := range variants {
 			t.Run(s.name+"/"+v.name, func(t *testing.T) {
-				checkAgainstReference(t, s.d, v.opts)
+				checkAgainstReference(t, s.d, v.opts, s.d.Len()/3)
 			})
 		}
 	}
@@ -136,8 +220,10 @@ func TestGrowerMatchesReference(t *testing.T) {
 
 // FuzzGrowerVsReference decodes arbitrary bytes into a small NaN-free
 // mixed-schema dataset (values from a palette with ties, signed zeros,
-// extremes and infinities) plus options, and requires the production
-// grower to match the reference node for node.
+// extremes and infinities), options and a split point, and requires the
+// production grower to match the reference node for node, both sorting
+// the whole dataset and merging the orders of its two parts; the merged
+// order must equal the whole dataset's index for index.
 func FuzzGrowerVsReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("\x02\x01\x00\x00\x0f\x0f\x10\x11\x20\x21\x30\x31\x40\x41\x50\x51\x60\x61\x70\x71"))
@@ -164,36 +250,45 @@ func FuzzGrowerVsReference(f *testing.F) {
 		if d.Len() == 0 {
 			return
 		}
-		checkAgainstReference(t, d, opts)
+		split := int(b[1]>>2) % (d.Len() + 1)
+		checkOrders(t, d, split)
+		checkAgainstReference(t, d, opts, split)
 	})
 }
 
 // TestTrainRejectsNaN: a NaN value anywhere fails training with an error
 // naming the record and attribute, instead of recursing until the stack
-// overflows.
+// overflows. The order constructor fails with the same error.
 func TestTrainRejectsNaN(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
 		name string
-		at   func(i int) bool // records whose attribute attr is NaN
-		attr int
+		at   func(i, a int) bool // whether record i's attribute a is NaN
 		want string
 	}{
-		{"every third x", func(i int) bool { return i%3 == 2 }, 0, `record 2: attribute "x" is NaN`},
-		{"last y", func(i int) bool { return i == 19 }, 2, `record 19: attribute "y" is NaN`},
-		{"nominal", func(i int) bool { return i == 7 }, 1, `record 7: attribute "c" is NaN`},
+		{"every third x", func(i, a int) bool { return a == 0 && i%3 == 2 }, `record 2: attribute "x" is NaN`},
+		{"last y", func(i, a int) bool { return a == 2 && i == 19 }, `record 19: attribute "y" is NaN`},
+		{"nominal", func(i, a int) bool { return a == 1 && i == 7 }, `record 7: attribute "c" is NaN`},
+		// Attributes are checked in schema order, each over every record.
+		{"schema order first", func(i, a int) bool { return a == 2 && i == 3 || a == 1 && i == 9 }, `record 9: attribute "c" is NaN`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := pickData(20, 12, []float64{0, 1, 2, 3})
-			for i := range d.Records {
-				if tc.at(i) {
-					d.Records[i].Values[tc.attr] = nan
+			for i, r := range d.Records {
+				for a := range r.Values {
+					if tc.at(i, a) {
+						r.Values[a] = nan
+					}
 				}
 			}
 			_, err := NewLearner().Train(d)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Train error = %v, want one containing %q", err, tc.want)
+			}
+			_, oerr := NewOrder(d)
+			if oerr == nil || oerr.Error() != err.Error() {
+				t.Fatalf("NewOrder error = %v, want %v", oerr, err)
 			}
 		})
 	}

@@ -1,9 +1,7 @@
 package tree
 
 import (
-	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"highorder/internal/data"
@@ -11,12 +9,13 @@ import (
 
 // grower holds the state shared across the recursive tree construction.
 //
-// Numeric attributes are sorted once at the root; every split then
-// partitions the sorted index lists stably and in place, so each child's
-// lists are contiguous sub-ranges of its parent's and threshold search at
-// every node is a single pass instead of a fresh sort. A node is therefore
-// just a range [lo, hi) that is valid in every list at once. This is what
-// keeps training usable on deep trees over many numeric attributes (the
+// Numeric attributes are sorted once at the root, or merged from two
+// presorted orders (TrainConcat); every split then partitions the sorted
+// index lists stably and in place, so each child's lists are contiguous
+// sub-ranges of its parent's and threshold search at every node is a
+// single pass instead of a fresh sort. A node is therefore just a range
+// [lo, hi) that is valid in every list at once. This is what keeps
+// training usable on deep trees over many numeric attributes (the
 // intrusion stream has 34), and it leaves the Node, Dist and Children of
 // the grown tree as the only per-node allocations.
 type grower struct {
@@ -51,8 +50,10 @@ type scratch struct {
 	childBuf []int32
 	// tmp is the stable partition's spill buffer.
 	tmp []int32
-	// pairs is the root sort's (value, index) buffer.
-	pairs []pair
+	// pairs is the root sort's (value, index) buffer, and mergeVals the
+	// values mergeLists writes beside the merged indices.
+	pairs     []pair
+	mergeVals []float64
 	// counts is the class-count scratch of the most recent makeNode call;
 	// bestSplit reads it for the same node immediately after (grow calls
 	// them back to back, before any child recursion).
@@ -108,9 +109,9 @@ func fit[T any](b []T, n int) []T {
 
 func (g *grower) xl2(n int) float64 { return g.xlog2x[n] }
 
-// newGrower lays d out in s's buffers: columns, classes, and one sorted
-// index list per numeric attribute. It rejects NaN values, which have no
-// place in a threshold order.
+// newGrower lays d out in s's buffers: columns, classes, and one index
+// list per numeric attribute, which sortLists or mergeLists then fills.
+// It rejects NaN values, which have no place in a threshold order.
 func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
 	schema := d.Schema
 	n := d.Len()
@@ -135,7 +136,6 @@ func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
 	s.classes = fit(s.classes, n)
 	s.childBuf = fit(s.childBuf, n)
 	s.tmp = fit(s.tmp, n)
-	s.pairs = fit(s.pairs, n)
 	s.counts = fit(s.counts, k)
 	s.left = fit(s.left, k)
 	s.right = fit(s.right, k)
@@ -153,7 +153,7 @@ func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
 		for i, r := range d.Records {
 			v := r.Values[a]
 			if math.IsNaN(v) {
-				return nil, fmt.Errorf("tree: record %d: attribute %q is NaN", i, attr.Name) //homlint:allow hotpathalloc -- error construction on the failure path only
+				return nil, nanError(schema, i, a)
 			}
 			vals[i] = v
 		}
@@ -163,13 +163,6 @@ func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
 			continue
 		}
 		sl := s.listArena[list*n : (list+1)*n]
-		for i, v := range vals {
-			s.pairs[i] = pair{v: v, i: int32(i)}
-		}
-		slices.SortFunc(s.pairs, cmpPair)
-		for j, p := range s.pairs {
-			sl[j] = p.i
-		}
 		s.sorted[a] = sl
 		s.lists[list] = sl
 		list++
@@ -191,6 +184,41 @@ func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
 		s.xlog2x = t
 	}
 	return g, nil
+}
+
+// sortLists fills every numeric attribute's index list with the record
+// indices in threshold order: one (value, index) sort per column.
+func (g *grower) sortLists() {
+	g.pairs = fit(g.pairs, len(g.classes))
+	for a, sl := range g.sorted {
+		if sl == nil {
+			continue
+		}
+		for i, v := range g.cols[a] {
+			g.pairs[i] = pair{v: v, i: int32(i)}
+		}
+		sortPairs(g.pairs)
+		for j, p := range g.pairs {
+			sl[j] = p.i
+		}
+	}
+}
+
+// mergeLists fills every numeric attribute's index list by merging x's
+// and y's orders, the grower's records being x's followed by y's. The
+// result is the list sortLists would build, in linear time.
+func (g *grower) mergeLists(x, y *Order) {
+	g.mergeVals = fit(g.mergeVals, len(g.classes))
+	k := 0
+	for _, sl := range g.sorted {
+		if sl == nil {
+			continue
+		}
+		xp, xv := x.column(k)
+		yp, yv := y.column(k)
+		mergeColumn(sl, g.mergeVals, xp, xv, yp, yv, int32(x.n))
+		k++
+	}
 }
 
 // grow builds the (unpruned) subtree for the records in [lo, hi).

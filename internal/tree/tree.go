@@ -52,6 +52,13 @@ func (l *Learner) Name() string { return "c4.5" }
 // Train grows and prunes a tree from d. It fails on an empty dataset and
 // on any NaN attribute value, naming the first such record and attribute.
 func (l *Learner) Train(d *data.Dataset) (classifier.Classifier, error) {
+	return l.train(d, nil, nil)
+}
+
+// train grows and prunes a tree from d. With x nil it sorts d's numeric
+// columns; otherwise d holds x's records followed by y's and the two
+// orders are merged instead.
+func (l *Learner) train(d *data.Dataset, x, y *Order) (classifier.Classifier, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("tree: cannot train on empty dataset") //homlint:allow hotpathalloc -- error construction on the failure path only
 	}
@@ -61,6 +68,11 @@ func (l *Learner) Train(d *data.Dataset) (classifier.Classifier, error) {
 	g, err := newGrower(d, opts, s)
 	if err != nil {
 		return nil, err
+	}
+	if x == nil {
+		g.sortLists()
+	} else {
+		g.mergeLists(x, y)
 	}
 	root := g.grow(0, d.Len(), 0)
 	if opts.Confidence < 1 {

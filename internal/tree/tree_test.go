@@ -334,6 +334,28 @@ func BenchmarkTrainNumeric1k(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainConcat trains BenchmarkTrainNumeric1k's dataset from the
+// merged orders of its two halves, the way the clustering engine trains a
+// candidate merger.
+func BenchmarkTrainConcat(b *testing.B) {
+	train := thresholdData(1000, 21, 0.37)
+	x, err := NewOrder(&data.Dataset{Schema: train.Schema, Records: train.Records[:500]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	y, err := NewOrder(&data.Dataset{Schema: train.Schema, Records: train.Records[500:]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := NewLearner()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.TrainConcat(train, x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPredict(b *testing.B) {
 	train := thresholdData(1000, 22, 0.37)
 	c := classifier.MustTrain(NewLearner(), train)

@@ -54,7 +54,8 @@ go test -race ./internal/serve -run 'Backpressure|LoadShed503|DeadlineExpiry|Wor
 # The race detector skews allocation counts, so the AllocsPerRun
 # ceilings (similarityEdge, zero-copy view iteration, the flight
 # recorder's disabled/unsampled 0-alloc paths, the tree grower's
-# grown-nodes-only allocations, the exposition renderer's and the JSON
+# grown-nodes-only allocations whether it sorts its columns or merges two
+# presorted orders, the exposition renderer's and the JSON
 # request decoder's constant allocations, and the zero-allocation hot
 # session lookup over a memory-only and a tiered store), the heap bound
 # per hot session (1 KiB, memory-only and tiered), the disk bound per
@@ -84,16 +85,22 @@ GOMAXPROCS=1 go test ./internal/compiled -run 'Allocs|Throughput' -count=1
 GOMAXPROCS=1 go test ./internal/serve -run Throughput -count=1
 
 # The optimized merge engine (zero-copy views, parallel evaluation,
-# classifier reuse, early stop, stale-edge pruning) must execute the
-# naive reference loop's merge sequence bit for bit: same pairs, same
-# order, same Err/Err*, same assignments and dendrograms, for tree and
-# bayes at reuse 0.05 and 1 and workers 1, 2 and 8. Also part of the
-# -race pass above, but a divergence should name itself in the verify log.
+# classifier reuse, early stop, stale-edge pruning, mergers trained from
+# their children's merged column orders) must execute the naive reference
+# loop's merge sequence bit for bit: same pairs, same order, same
+# Err/Err*, same assignments and dendrograms, at workers 1, 2 and 8. The
+# histories are nominal (Stagger: tree and bayes at reuse 0.05 and 1),
+# numeric (SEA with 10% noise) and mixed (Intrusion, 34 numeric and 7
+# nominal attributes, many ties), the last two for the tree at reuse
+# 0.05; the naive loop sorts every training set from scratch, so those
+# rows check the merged orders against an independent oracle. Also part
+# of the -race pass above, but a divergence should name itself in the
+# verify log.
 step "cross-engine identity (internal/cluster TestGoldenEquivalence)"
 go test ./internal/cluster -run TestGoldenEquivalence -count=1
 
 step "bench smoke (-benchtime 1x)"
-go test ./internal/cluster ./internal/data -run '^$' -bench . -benchtime 1x >/dev/null
+go test ./internal/cluster ./internal/data ./internal/tree -run '^$' -bench . -benchtime 1x >/dev/null
 
 step "fuzz dataio (${FUZZTIME} each)"
 go test ./internal/dataio -run='^$' -fuzz='^FuzzParseRecord$' -fuzztime="$FUZZTIME"
@@ -118,7 +125,9 @@ go test ./internal/compiled -run='^$' -fuzz='^FuzzCompiledVsInterpreted$' -fuzzt
 # The sort-once tree grower must build the same tree as the retained
 # reference grower (per-node sort.SliceStable copies), node for node and
 # bit for bit, on arbitrary NaN-free data with ties, signed zeros and
-# infinities.
+# infinities — both when it sorts the data and when it merges the orders
+# of the data's two parts at a fuzzed split point. The merged order must
+# equal a stable sort of the whole, index for index.
 step "fuzz tree grower vs reference (${FUZZTIME})"
 go test ./internal/tree -run='^$' -fuzz='^FuzzGrowerVsReference$' -fuzztime="$FUZZTIME"
 
