@@ -57,10 +57,13 @@ type Options struct {
 	// independent trainings and evaluations in every phase (leaf
 	// training, initial candidate mergers, per-merger re-evaluations and
 	// prediction caching), counting the calling goroutine, which works
-	// alongside Workers−1 helpers. Results are bit-identical whatever
-	// Workers is: every unit of work writes its own slot, and every random
-	// draw is made in a fixed order before the work is dispatched. <= 0
-	// selects GOMAXPROCS.
+	// alongside Workers−1 helpers. With a helper, step 2 also trains the
+	// model of the best queued merger that shares no node with the one it
+	// executes, beside it, and counts that training in Stats only if that
+	// merger executes too. Results, Stats included, are bit-identical
+	// whatever Workers is: every unit of work writes its own slot, and
+	// every random draw is made in a fixed order before the work is
+	// dispatched. <= 0 selects GOMAXPROCS.
 	Workers int
 
 	// mergeLog, when non-nil, receives one record per executed merger in
@@ -258,8 +261,8 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 	src := rng.New(o.Seed)
 	eng := &engine{opts: o, learner: o.Learner, src: src}
 	eng.ordered, _ = o.Learner.(classifier.OrderedLearner)
-	eng.pool = newWorkerPool(eng.workers())
-	defer eng.pool.close()
+	eng.pool = NewPool(o.Workers)
+	defer eng.pool.Close()
 	agglomerate := (*engine).agglomerate
 	if o.agglomerate != nil {
 		agglomerate = o.agglomerate

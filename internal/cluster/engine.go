@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"highorder/internal/classifier"
@@ -23,8 +22,8 @@ type engine struct {
 	nextID  int
 	// pool is the shared worker pool every parallel phase dispatches
 	// through: leaf training, initial edge builds, per-merger
-	// re-evaluations, and prediction caching.
-	pool *workerPool
+	// re-evaluations, step-2 lookaheads, and prediction caching.
+	pool *Pool
 
 	// Work counters are atomic because trainings and evaluations run in
 	// parallel.
@@ -35,6 +34,10 @@ type engine struct {
 	// edgesPruned aggregates merge-queue pruning; it is only touched from
 	// the sequential orchestration loop.
 	edgesPruned int64
+	// aheadMade and aheadUsed count the step-2 lookahead models trained and
+	// the ones a later merger consumed; only the orchestration loop touches
+	// them, and only tests read them.
+	aheadMade, aheadUsed int
 
 	// sample is the shared shuffled list L of holdout records used by the
 	// step-2 similarity measure (§II-C.1). It is assembled once from all
@@ -74,14 +77,6 @@ func (e *engine) counters() workCounters {
 	}
 }
 
-// workers returns the configured training parallelism.
-func (e *engine) workers() int {
-	if e.opts.Workers > 0 {
-		return e.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // errorRate converts a mistake count into an error rate, treating an
 // empty test set as errorless like classifier.ErrorRate.
 func errorRate(wrong, n int) float64 {
@@ -102,7 +97,7 @@ func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 		seeds[i] = e.src.Int63()
 	}
 	errs := make([]error, len(blocks))
-	e.pool.run(len(blocks), func(i int) {
+	e.pool.Run(len(blocks), func(i int) {
 		train, test := blocks[i].SplitHoldout(rng.New(seeds[i]))
 		e.recordsCopied.Add(int64(blocks[i].Len()))
 		model, err := e.train(train)
@@ -142,14 +137,14 @@ func (e *engine) train(d *data.Dataset) (classifier.Classifier, error) {
 	return e.learner.Train(d)
 }
 
-// trainConcat trains on d, which holds x's train half followed by y's,
-// merging the two halves' orders when both have one instead of sorting d.
-// Either way it trains the classifier e.train(d) would.
-func (e *engine) trainConcat(d *data.Dataset, x, y *node) (classifier.Classifier, error) {
+// fit trains on d, which holds x's train half followed by y's, merging
+// the two halves' orders when both have one instead of sorting d. Either
+// way it trains the classifier e.train(d) would, but it charges nothing:
+// its caller's evaluation reports the training as work.
+func (e *engine) fit(d *data.Dataset, x, y *node) (classifier.Classifier, error) {
 	if x.order == nil || y.order == nil {
-		return e.train(d)
+		return e.learner.Train(d)
 	}
-	e.modelsTrained.Add(1)
 	return e.ordered.TrainConcat(d, x.order, y.order)
 }
 
@@ -169,7 +164,7 @@ func (e *engine) prepareSamples(nodes []*node) {
 	e.recordsCopied.Add(int64(len(all)))
 	e.src.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	e.sample = all
-	e.pool.run(len(nodes), func(i int) { e.cachePredsSerial(nodes[i]) })
+	e.pool.Run(len(nodes), func(i int) { e.cachePredsSerial(nodes[i]) })
 }
 
 // cachePreds stores n's model predictions on L[0:|Dn_test|], splitting
@@ -189,7 +184,7 @@ func (e *engine) cachePreds(n *node) {
 	const grain = 512
 	if e.pool.parallel() && k >= 2*grain {
 		chunks := (k + grain - 1) / grain
-		e.pool.run(chunks, func(ci int) { //homlint:allow hotpathalloc -- one dispatch closure amortized over >=1024 predictions
+		e.pool.Run(chunks, func(ci int) { //homlint:allow hotpathalloc -- one dispatch closure amortized over >=1024 predictions
 			lo := ci * grain
 			hi := lo + grain
 			if hi > k {
@@ -307,7 +302,7 @@ func (e *engine) agglomerate(nodes []*node, complete bool) []*node {
 			}
 		}
 		edges := make([]*edge, len(pairs))
-		e.pool.run(len(pairs), func(pi int) {
+		e.pool.Run(len(pairs), func(pi int) {
 			edges[pi] = step2Edge(nodes[pairs[pi].i], nodes[pairs[pi].j])
 		})
 		for _, ed := range edges {
@@ -317,7 +312,7 @@ func (e *engine) agglomerate(nodes []*node, complete bool) []*node {
 		// The initial chain edges are independent classifier trainings;
 		// evaluate them in parallel, then push in order.
 		edges := make([]*edge, len(nodes)-1)
-		e.pool.run(len(edges), func(i int) {
+		e.pool.Run(len(edges), func(i int) {
 			edges[i] = e.deltaQEdge(nodes[i], nodes[i+1])
 		})
 		for _, ed := range edges {
@@ -350,6 +345,9 @@ func (e *engine) agglomerate(nodes []*node, complete bool) []*node {
 		if best == nil {
 			break
 		}
+		if best.merged == nil { // step 2 by similarity: the model is still to train
+			best.merged = e.evalPopped(q, best)
+		}
 		w := e.merge(best)
 		q.noteDead(best.u)
 		q.noteDead(best.v)
@@ -361,7 +359,7 @@ func (e *engine) agglomerate(nodes []*node, complete bool) []*node {
 			if !w.frozen {
 				targets := fanoutTargets(&liveNodes, w)
 				newEdges := make([]*edge, len(targets))
-				e.pool.run(len(targets), func(i int) {
+				e.pool.Run(len(targets), func(i int) {
 					newEdges[i] = step2Edge(w, targets[i])
 				})
 				for _, ed := range newEdges {
@@ -394,7 +392,7 @@ func (e *engine) agglomerate(nodes []*node, complete bool) []*node {
 			// The two relink re-evaluations are independent trainings;
 			// run both through the pool and push left-then-right.
 			relink := make([]*edge, 2)
-			e.pool.run(2, func(i int) {
+			e.pool.Run(2, func(i int) {
 				if i == 0 {
 					relink[0] = e.deltaQEdge(l, w)
 				} else {
@@ -459,6 +457,7 @@ func (e *engine) shouldFreeze(n *node) bool {
 func (e *engine) deltaQEdge(u, v *node) *edge {
 	e.edgesEvaluated.Add(1)
 	me := e.evalMerged(u, v)
+	e.charge(me)
 	dq := float64(u.size()+v.size())*me.err - u.weightedErr() - v.weightedErr()
 	return &edge{u: u, v: v, dist: dq, merged: me}
 }
@@ -489,32 +488,101 @@ func (e *engine) similarityEdge(u, v *node) *edge {
 	return &edge{u: u, v: v, dist: d}
 }
 
+// evalPopped returns the evaluation of the popped step-2 merger ed,
+// charged to the work counters. A lookahead may have left it on the edge.
+// Otherwise, when the pool has a helper and ed trains a model, ed trains
+// together with the best queued merger that shares no node with it, as one
+// two-task run, and that merger's model stays on its edge. A step-2 model
+// depends only on its two nodes, which do not change while they are live,
+// and a popped edge's nodes are live, so the model is still right whenever
+// its edge is popped. It is charged only then: a lookahead whose edge goes
+// stale costs time but no count.
+func (e *engine) evalPopped(q *mergeQueue, ed *edge) *mergedEval {
+	me := ed.ahead
+	if me != nil {
+		e.aheadUsed++
+	} else if next := e.aheadCandidate(q, ed); next != nil {
+		pair := [2]*edge{ed, next}
+		var evals [2]*mergedEval
+		e.pool.Run(2, func(i int) {
+			evals[i] = e.evalMerged(pair[i].u, pair[i].v)
+		})
+		me, next.ahead = evals[0], evals[1]
+		e.aheadMade++
+	} else {
+		me = e.evalMerged(ed.u, ed.v)
+	}
+	e.charge(me)
+	return me
+}
+
+// aheadCandidate returns the merger to train beside the popped step-2
+// merger ed, or nil when there is none worth it: the pool has no helper,
+// or ed reuses a model and so trains nothing to overlap, or no queued
+// merger among the first peekLimit in heap order is live, shares no node
+// with ed, has no model yet and would train one.
+func (e *engine) aheadCandidate(q *mergeQueue, ed *edge) *edge {
+	if !e.pool.parallel() || e.reuses(ed.u, ed.v) {
+		return nil
+	}
+	return q.peek(func(c *edge) bool {
+		return !c.stale() && c.ahead == nil &&
+			c.u != ed.u && c.u != ed.v && c.v != ed.u && c.v != ed.v &&
+			!e.reuses(c.u, c.v)
+	})
+}
+
+// reuses reports whether the merger of u and v takes the larger node's
+// classifier instead of training one: the classifier-reuse optimization
+// for very unbalanced mergers (§II-D).
+func (e *engine) reuses(u, v *node) bool {
+	big, small := u.size(), v.size()
+	if small > big {
+		big, small = small, big
+	}
+	return e.opts.ReuseRatio > 0 && float64(small) <= e.opts.ReuseRatio*float64(big)
+}
+
 // evalMerged trains and validates a model for Du ∪ Dv, honoring the
-// classifier-reuse optimization for very unbalanced mergers. Validation
-// recombines integer mistake counts: the reuse path scans only the
-// smaller test half — the larger half's count is cached on its node —
-// which is bit-identical to rescanning the whole concatenation because
-// the counts are integers and the final division is the same.
+// classifier-reuse optimization for very unbalanced mergers, and reports
+// the work it did without charging it (see charge). Validation recombines
+// integer mistake counts: the reuse path scans only the smaller test half
+// — the larger half's count is cached on its node — which is
+// bit-identical to rescanning the whole concatenation because the counts
+// are integers and the final division is the same.
 func (e *engine) evalMerged(u, v *node) *mergedEval {
 	big, small := u, v
 	if small.size() > big.size() {
 		big, small = small, big
 	}
 	testLen := big.test.Len() + small.test.Len()
-	if e.opts.ReuseRatio > 0 && float64(small.size()) <= e.opts.ReuseRatio*float64(big.size()) {
-		e.modelsReused.Add(1)
+	if e.reuses(u, v) {
 		wrong := big.testWrong + e.mistakes(big.model, small.test)
-		return &mergedEval{model: big.model, err: errorRate(wrong, testLen), wrong: wrong}
+		return &mergedEval{model: big.model, err: errorRate(wrong, testLen), wrong: wrong, reused: true}
 	}
-	train := e.materialize(big.train.Concat(small.train))
-	model, err := e.trainConcat(train, big, small)
+	// The one place the optimized merge path still copies records.
+	train := big.train.Concat(small.train).Materialize()
+	model, err := e.fit(train, big, small)
 	if err != nil {
 		// Training on a merged non-empty dataset cannot fail for the
 		// learners in this repository; treat it as a programming error.
 		panic(fmt.Sprintf("cluster: training merged cluster: %v", err)) //homlint:allow hotpathalloc -- panic message on a cannot-happen path
 	}
 	wrong := e.mistakes(model, big.test) + e.mistakes(model, small.test)
-	return &mergedEval{model: model, err: errorRate(wrong, testLen), wrong: wrong}
+	return &mergedEval{model: model, err: errorRate(wrong, testLen), wrong: wrong, copied: train.Len()}
+}
+
+// charge adds an evaluation's work to the counters: a reuse, or a
+// training and the records copied for it. Each evaluation is charged
+// once — step 1's when its edge is evaluated, step 2's when its merger
+// executes.
+func (e *engine) charge(me *mergedEval) {
+	if me.reused {
+		e.modelsReused.Add(1)
+		return
+	}
+	e.modelsTrained.Add(1)
+	e.recordsCopied.Add(int64(me.copied))
 }
 
 // mistakes counts c's misclassifications over a view without flattening
@@ -527,16 +595,9 @@ func (e *engine) mistakes(c classifier.Classifier, v *data.View) int {
 	return wrong
 }
 
-// materialize flattens a view into the contiguous dataset a learner
-// needs, counting the copy — the one place the optimized merge path still
-// copies records.
-func (e *engine) materialize(v *data.View) *data.Dataset {
-	e.recordsCopied.Add(int64(v.Len()))
-	return v.Materialize()
-}
-
-// merge executes the winning candidate and returns the parent node with its
-// Err* computed per Algorithm 1, line 19. The parent's record sets are
+// merge executes the winning candidate, whose evaluation is on the edge,
+// and returns the parent node with its Err* computed per Algorithm 1,
+// line 19. The parent's record sets are
 // zero-copy concat views over the children's, so a merger costs
 // O(segments), not O(records).
 func (e *engine) merge(ed *edge) *node {
@@ -545,9 +606,6 @@ func (e *engine) merge(ed *edge) *node {
 	e.stats.Mergers++
 
 	me := ed.merged
-	if me == nil { // step 2: evaluate now
-		me = e.evalMerged(u, v)
-	}
 	w := &node{
 		id:        e.allocID(),
 		all:       u.all.Concat(v.all),

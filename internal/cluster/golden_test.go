@@ -14,9 +14,10 @@ import (
 )
 
 // goldenRun clusters history d with one engine configuration and returns
-// the full merge log plus the clustering. With reference set, the naive
-// loop of naive_test.go runs instead of the optimized one.
-func goldenRun(t *testing.T, d *data.Dataset, learner classifier.Learner, workers int, reuse float64, reference bool) ([]mergeRecord, *Clustering) {
+// the full merge log, the clustering, and how many of the step-2 models
+// the optimized loop trained ahead no merger used. With reference set, the
+// naive loop of naive_test.go runs instead of the optimized one.
+func goldenRun(t *testing.T, d *data.Dataset, learner classifier.Learner, workers int, reuse float64, reference bool) ([]mergeRecord, *Clustering, int) {
 	t.Helper()
 	var log []mergeRecord
 	opts := Options{
@@ -33,14 +34,21 @@ func goldenRun(t *testing.T, d *data.Dataset, learner classifier.Learner, worker
 		KeepDendrogram:   true,
 		mergeLog:         &log,
 	}
+	unusedAhead := 0
 	if reference {
 		opts.agglomerate = (*engine).agglomerateNaive
+	} else {
+		opts.agglomerate = func(e *engine, nodes []*node, complete bool) []*node {
+			roots := e.agglomerate(nodes, complete)
+			unusedAhead = e.aheadMade - e.aheadUsed
+			return roots
+		}
 	}
 	cl, err := ClusterConcepts(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return log, cl
+	return log, cl, unusedAhead
 }
 
 // sameFloat compares bit-for-bit: the golden contract is bit identity,
@@ -160,27 +168,33 @@ func (c *concatCounter) TrainConcat(d *data.Dataset, x, y classifier.Order) (cla
 // nominal, many ties) rows make the optimized engine train its mergers
 // from the children's merged column orders, while the naive loop trains
 // every merger through plain Train: an independent oracle for the merge.
+//
+// With helpers, step 2 trains a queued merger's model ahead beside the
+// merger it executes, and counts it only if that merger executes too. The
+// noisy SEA row must leave at least one such model unused, so its
+// ModelsTrained equality with the naive loop checks that charging.
 func TestGoldenEquivalence(t *testing.T) {
 	stagger := synth.TakeDataset(synth.NewStagger(synth.StaggerConfig{Seed: 41}), 6000)
 	sea := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 42, Noise: 0.1}), 3000)
 	intrusion := synth.TakeDataset(synth.NewIntrusion(synth.IntrusionConfig{Seed: 43}), 1000)
 	rows := []struct {
-		name    string
-		d       *data.Dataset
-		mk      func() classifier.Learner
-		reuses  []float64
-		numeric bool
+		name        string
+		d           *data.Dataset
+		mk          func() classifier.Learner
+		reuses      []float64
+		numeric     bool
+		unusedAhead bool
 	}{
-		{"tree", stagger, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05, 1}, false},
-		{"bayes", stagger, func() classifier.Learner { return bayes.NewLearner() }, []float64{0.05, 1}, false},
-		{"tree-sea-noise", sea, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05}, true},
-		{"tree-intrusion", intrusion, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05}, true},
+		{"tree", stagger, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05, 1}, false, false},
+		{"bayes", stagger, func() classifier.Learner { return bayes.NewLearner() }, []float64{0.05, 1}, false, false},
+		{"tree-sea-noise", sea, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05}, true, true},
+		{"tree-intrusion", intrusion, func() classifier.Learner { return tree.NewLearner() }, []float64{0.05}, true, false},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			for _, reuse := range row.reuses {
 				t.Run(fmt.Sprintf("reuse=%g", reuse), func(t *testing.T) {
-					refLog, refCl := goldenRun(t, row.d, row.mk(), 1, reuse, true)
+					refLog, refCl, _ := goldenRun(t, row.d, row.mk(), 1, reuse, true)
 					if len(refLog) == 0 {
 						t.Fatal("reference run executed no mergers; the test is vacuous")
 					}
@@ -196,7 +210,7 @@ func TestGoldenEquivalence(t *testing.T) {
 							counter.Learner = tl
 							learner = counter
 						}
-						log, cl := goldenRun(t, row.d, learner, workers, reuse, false)
+						log, cl, unusedAhead := goldenRun(t, row.d, learner, workers, reuse, false)
 						label := fmt.Sprintf("%s/reuse=%g/workers=%d", row.name, reuse, workers)
 						diffMergeLogs(t, label, refLog, log)
 						diffClusterings(t, label, refCl, cl, row.d.Len())
@@ -210,6 +224,9 @@ func TestGoldenEquivalence(t *testing.T) {
 						}
 						if row.numeric && counter.n.Load() == 0 {
 							t.Fatalf("%s: no merger trained from merged orders; the merge is untested", label)
+						}
+						if row.unusedAhead && workers > 1 && unusedAhead < 1 {
+							t.Fatalf("%s: no step-2 model trained ahead went unused; their charging is untested", label)
 						}
 					}
 				})

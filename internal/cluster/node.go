@@ -94,16 +94,21 @@ type edge struct {
 	// for Du ∪ Dv during step-1 distance evaluation, so the winning merger
 	// does not retrain.
 	merged *mergedEval
-	index  int // heap bookkeeping
+	// ahead is a step-2 merger's evaluation, trained ahead beside an
+	// earlier merger and not yet charged (engine.evalPopped).
+	ahead *mergedEval
 }
 
 // mergedEval is the precomputed evaluation of a prospective merger: the
 // classifier, its validation error on the merged test half, and the
-// integer mistake count behind it.
+// integer mistake count behind it, plus the work it took — a reuse, or a
+// training on copied records — until engine.charge counts it.
 type mergedEval struct {
-	model classifier.Classifier
-	err   float64
-	wrong int
+	model  classifier.Classifier
+	err    float64
+	wrong  int
+	reused bool
+	copied int
 }
 
 // stale reports whether either endpoint has been consumed or frozen since
@@ -126,17 +131,9 @@ func (h edgeHeap) Less(i, j int) bool {
 	return h[i].v.id < h[j].v.id
 }
 
-func (h edgeHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h edgeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *edgeHeap) Push(x any) {
-	e := x.(*edge)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h *edgeHeap) Push(x any) { *h = append(*h, x.(*edge)) }
 
 func (h *edgeHeap) Pop() any {
 	old := *h
@@ -191,6 +188,43 @@ func (q *mergeQueue) popBest() *edge {
 		}
 		if q.stale > 0 {
 			q.stale--
+		}
+	}
+	return nil
+}
+
+// peekLimit bounds how many queued edges peek inspects.
+const peekLimit = 64
+
+// peek returns the best queued edge that want accepts, visiting edges
+// best first from the heap's top, at most peekLimit of them; nil when none
+// of those qualifies. It leaves the queue as it is: popping the stale
+// edges it passes would move the stale estimate, and with it when
+// maybePrune runs and what EdgesPruned counts.
+func (q *mergeQueue) peek(want func(*edge) bool) *edge {
+	// frontier holds the heap positions whose parents were visited and
+	// rejected; every visit removes one and adds at most two.
+	var frontier [peekLimit + 1]int
+	n := 0
+	if len(q.h) > 0 {
+		n = 1
+	}
+	for seen := 0; seen < peekLimit && n > 0; seen++ {
+		b := 0
+		for k := 1; k < n; k++ {
+			if q.h.Less(frontier[k], frontier[b]) {
+				b = k
+			}
+		}
+		i := frontier[b]
+		n--
+		frontier[b] = frontier[n]
+		if want(q.h[i]) {
+			return q.h[i]
+		}
+		for c := 2*i + 1; c <= 2*i+2 && c < len(q.h); c++ {
+			frontier[n] = c
+			n++
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"highorder/internal/classifier"
@@ -50,9 +51,10 @@ type Options struct {
 	// EmpiricalTransitions replaces Eq. 6's frequency-based χ with the
 	// smoothed empirical occurrence-transition matrix (ablation extension).
 	EmpiricalTransitions bool
-	// Workers is the build's concept-clustering parallelism, counting the
-	// calling goroutine (see cluster.Options.Workers); the model does not
-	// depend on it. <= 0 selects GOMAXPROCS.
+	// Workers is the build's parallelism, counting the calling goroutine:
+	// the concept clustering's (see cluster.Options.Workers), and the
+	// per-concept retrains', which run largest concept first. The model
+	// does not depend on it. <= 0 selects GOMAXPROCS.
 	Workers int
 	// Step2DeltaQ makes concept clustering's step 2 use the ΔQ merge
 	// strategy instead of model similarity (ablation; see cluster.Options).
@@ -190,45 +192,23 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 		Chi:         chi,
 		Occurrences: cl.Occurrences,
 	}
-	spRetrain := build.Child(spanRetrain)
 	for ci, c := range cl.Concepts {
-		model := c.Model
-		if o.RetrainConcepts {
-			spc := spRetrain.Child(spanTrainConcept)
-			// Gather the concept's records with one sized allocation; the
-			// per-occurrence Concat this replaces reallocated the whole
-			// accumulated prefix at every step.
-			total := 0
-			for _, oi := range c.Occurrences {
-				total += cl.Occurrences[oi].Len()
-			}
-			recs := make([]data.Record, 0, total)
-			for _, oi := range c.Occurrences {
-				occ := cl.Occurrences[oi]
-				recs = append(recs, hist.Records[occ.Start:occ.End]...)
-			}
-			full := &data.Dataset{Schema: hist.Schema, Records: recs}
-			spc.SetArg(int64(full.Len()))
-			if full.Len() > 0 {
-				retrained, err := o.Learner.Train(full)
-				if err != nil {
-					spc.End()
-					spRetrain.End()
-					return nil, fmt.Errorf("core: retraining concept %d: %w", ci, err)
-				}
-				model = retrained
-			}
-			spc.End()
-		}
 		m.Concepts[ci] = Concept{
-			Model: model,
+			Model: c.Model,
 			Err:   c.Err,
 			Len:   trans.Len[ci],
 			Freq:  trans.Freq[ci],
 			Size:  c.Size,
 		}
 	}
+	spRetrain := build.Child(spanRetrain)
+	if o.RetrainConcepts {
+		err = retrain(m.Concepts, hist, cl, o.Learner, o.Workers, spRetrain)
+	}
 	spRetrain.End()
+	if err != nil {
+		return nil, err
+	}
 	m.Stats = BuildStats{
 		Elapsed:     clk().Sub(start),
 		Clustering:  cl.Stats,
@@ -236,4 +216,56 @@ func Build(hist *data.Dataset, opts Options) (*Model, error) {
 	}
 	build.Instant(spanConcepts, int64(len(m.Concepts)))
 	return m, nil
+}
+
+// retrain replaces each concept's model with one trained on all of the
+// concept's historical records, over workers goroutines (see
+// cluster.NewPool). The records are gathered and each concept's
+// train_concept span started in concept order on the calling goroutine;
+// the trainings run largest concept first, so the longest one starts at
+// once, and each writes its own concept. An empty concept keeps its
+// model. The first error in concept order is returned.
+func retrain(concepts []Concept, hist *data.Dataset, cl *cluster.Clustering, learner classifier.Learner, workers int, sp obs.FlightSpan) error {
+	sets := make([]*data.Dataset, len(cl.Concepts))
+	spans := make([]obs.FlightSpan, len(cl.Concepts))
+	for ci, c := range cl.Concepts {
+		spans[ci] = sp.Child(spanTrainConcept)
+		// Gather the concept's records with one sized allocation.
+		total := 0
+		for _, oi := range c.Occurrences {
+			total += cl.Occurrences[oi].Len()
+		}
+		recs := make([]data.Record, 0, total)
+		for _, oi := range c.Occurrences {
+			occ := cl.Occurrences[oi]
+			recs = append(recs, hist.Records[occ.Start:occ.End]...)
+		}
+		sets[ci] = &data.Dataset{Schema: hist.Schema, Records: recs}
+		spans[ci].SetArg(int64(total))
+	}
+	bySize := make([]int, len(sets))
+	for i := range bySize {
+		bySize[i] = i
+	}
+	sort.SliceStable(bySize, func(a, b int) bool { return sets[bySize[a]].Len() > sets[bySize[b]].Len() })
+	errs := make([]error, len(sets))
+	pool := cluster.NewPool(workers)
+	pool.Run(len(bySize), func(k int) {
+		ci := bySize[k]
+		if sets[ci].Len() > 0 {
+			if model, err := learner.Train(sets[ci]); err != nil {
+				errs[ci] = err
+			} else {
+				concepts[ci].Model = model
+			}
+		}
+		spans[ci].End()
+	})
+	pool.Close()
+	for ci, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: retraining concept %d: %w", ci, err)
+		}
+	}
+	return nil
 }

@@ -99,6 +99,19 @@ GOMAXPROCS=1 go test ./internal/serve -run Throughput -count=1
 step "cross-engine identity (internal/cluster TestGoldenEquivalence)"
 go test ./internal/cluster -run TestGoldenEquivalence -count=1
 
+# The build's pool hands work between goroutines that poll for it, and
+# step 2 trains a merger's model ahead beside the one it executes, so
+# which goroutine trains what depends on the scheduler. The merge
+# sequence, the work counts, the span tree, the persisted model and the
+# pool's own contract must not: run their tests with one P, where the
+# caller and the helpers take turns, and with four, besides the default
+# the full pass above ran with.
+step "build determinism at GOMAXPROCS=1 and 4 (internal/cluster, internal/core)"
+for procs in 1 4; do
+	GOMAXPROCS=$procs go test ./internal/cluster ./internal/core -count=1 \
+		-run 'TestGoldenEquivalence|TestParallelMatchesSequential|TestPool|TestBuildSpanTreeDeterminism|TestBuildBytesIndependentOfWorkers'
+done
+
 step "bench smoke (-benchtime 1x)"
 go test ./internal/cluster ./internal/data ./internal/tree -run '^$' -bench . -benchtime 1x >/dev/null
 
