@@ -28,8 +28,9 @@ func benchRecords(n int) []data.Record {
 }
 
 // TestClassifyBatchAllocs holds the batch classify kernel to zero
-// allocations per call — the whole point of the SoA predictor state and
-// the arena-backed distributions — for all three compiled base learners.
+// allocations per call — the whole point of the predictor's one backing
+// array and the arena-backed distributions — for all three compiled base
+// learners.
 func TestClassifyBatchAllocs(t *testing.T) {
 	recs := benchRecords(64)
 	preds := make([]int, len(recs))
@@ -93,7 +94,7 @@ func TestClassifyBatchThroughput(t *testing.T) {
 func BenchmarkClassifyBatch(b *testing.B) {
 	recs := benchRecords(2048)
 	preds := make([]int, len(recs))
-	for _, name := range []string{"tree", "bayes", "rules"} {
+	for _, name := range []string{"tree", "bayes"} {
 		m := goldenModels(b)[name]
 		cm, err := Compile(m)
 		if err != nil {
@@ -114,11 +115,11 @@ func BenchmarkClassifyBatch(b *testing.B) {
 }
 
 // BenchmarkInterpretedPredict is the baseline the compiled kernel is
-// measured against: the interpreted core.Predictor over the same
-// workload.
+// measured against: the same predictor evaluating each concept with the
+// model's own classifiers, over the same workload.
 func BenchmarkInterpretedPredict(b *testing.B) {
 	recs := benchRecords(2048)
-	for _, name := range []string{"tree", "bayes", "rules"} {
+	for _, name := range []string{"tree", "bayes"} {
 		m := goldenModels(b)[name]
 		b.Run(name, func(b *testing.B) {
 			p := m.NewPredictorWithOptions(core.PredictorOptions{})

@@ -17,7 +17,6 @@ type progKind uint8
 const (
 	progTree progKind = iota
 	progBayes
-	progRules
 )
 
 // node is one flat decision-tree node. Children are reached through the
@@ -46,22 +45,6 @@ type battr struct {
 	nominal bool
 }
 
-// cond is one flattened rule condition (mirrors tree.Condition).
-type cond struct {
-	val  float64
-	attr int32
-	op   uint8 // tree.OpEq / OpLE / OpGT
-}
-
-// ruleMeta is one flattened rule: conds[condOff:condOff+condN] must all
-// hold; dist is the precomputed PredictProba answer in the arena.
-type ruleMeta struct {
-	condOff int32
-	condN   int32
-	class   int32
-	dist    int32
-}
-
 // program is one concept's compiled classifier.
 type program struct {
 	kind progKind
@@ -71,51 +54,36 @@ type program struct {
 	battrOff int32
 	battrN   int32
 	logPrio  int32 // arena offset, length k
-	// rules
-	ruleOff  int32
-	ruleN    int32
-	defClass int32
-	defDist  int32 // arena offset, length k
 }
 
 // Model is the compiled form of a core.Model: every concept's classifier
-// lowered into the shared flat tables, plus the ensemble parameters
-// (transposed χ, per-concept error rates) the predictor twin needs.
-// A Model is immutable after Compile and safe for concurrent use by any
-// number of predictors.
+// lowered into the shared flat tables. It is a core.ConceptEvaluator for
+// the model it was compiled from, whose χ and error rates its predictors
+// read. A Model is immutable after Compile and safe for concurrent use by
+// any number of predictors.
 type Model struct {
-	schema *data.Schema
-	k      int // classes
-	n      int // concepts
-
-	// chiT is χ transposed, row-major: chiT[j*n+i] = Chi[i][j], so the
-	// prior update P_t⁻(j) = Σ_i P(i)·χ[i][j] streams one contiguous row
-	// per output concept while adding in the interpreted order (i
-	// ascending).
-	chiT []float64
-	// errs[c] is Concepts[c].Err (ψ of Eq. 8).
-	errs []float64
+	src *core.Model
+	k   int // classes
+	n   int // concepts
 
 	progs    []program
 	nodes    []node
 	childIdx []int32
 	arena    []float64
-	conds    []cond
-	rules    []ruleMeta
 	battrs   []battr
 }
 
 // Schema returns the model's schema.
-func (m *Model) Schema() *data.Schema { return m.schema }
+func (m *Model) Schema() *data.Schema { return m.src.Schema }
 
 // NumConcepts returns the number of compiled concept programs.
 func (m *Model) NumConcepts() int { return m.n }
 
 // Compile lowers m into flat decision tables. It returns an error naming
 // the concept when a concept's classifier is not a *tree.Tree,
-// *bayes.Model, *tree.RuleSet, or *classifier.Majority — every type
-// internal/dataio can load — or when the model is internally
-// inconsistent (mis-sized χ or distributions).
+// *bayes.Model or *classifier.Majority — every type internal/dataio can
+// load — or when the model is internally inconsistent (mis-sized χ or
+// distributions).
 func Compile(src *core.Model) (*Model, error) {
 	n := len(src.Concepts)
 	if n == 0 {
@@ -125,14 +93,7 @@ func Compile(src *core.Model) (*Model, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("compiled: schema has no classes")
 	}
-	m := &Model{
-		schema: src.Schema,
-		k:      k,
-		n:      n,
-		chiT:   make([]float64, n*n),
-		errs:   make([]float64, n),
-		progs:  make([]program, 0, n),
-	}
+	m := &Model{src: src, k: k, n: n, progs: make([]program, 0, n)}
 	if len(src.Chi) != n {
 		return nil, fmt.Errorf("compiled: χ has %d rows, model has %d concepts", len(src.Chi), n)
 	}
@@ -140,12 +101,8 @@ func Compile(src *core.Model) (*Model, error) {
 		if len(row) != n {
 			return nil, fmt.Errorf("compiled: χ row %d has %d columns, want %d", i, len(row), n)
 		}
-		for j, v := range row {
-			m.chiT[j*n+i] = v
-		}
 	}
 	for c := range src.Concepts {
-		m.errs[c] = src.Concepts[c].Err
 		var p program
 		var err error
 		switch cls := src.Concepts[c].Model.(type) {
@@ -153,8 +110,6 @@ func Compile(src *core.Model) (*Model, error) {
 			p, err = m.compileTree(cls)
 		case *bayes.Model:
 			p, err = m.compileBayes(cls)
-		case *tree.RuleSet:
-			p, err = m.compileRules(cls)
 		case *classifier.Majority:
 			p, err = m.compileMajority(cls)
 		default:
@@ -274,44 +229,6 @@ func (m *Model) compileBayes(b *bayes.Model) (program, error) {
 		m.battrs = append(m.battrs, ba)
 	}
 	p.battrN = int32(len(m.battrs)) - p.battrOff
-	return p, nil
-}
-
-func (m *Model) compileRules(rs *tree.RuleSet) (program, error) {
-	defDist, err := m.addDist(rs.DefaultDist())
-	if err != nil {
-		return program{}, fmt.Errorf("rules default %w", err)
-	}
-	p := program{
-		kind:     progRules,
-		ruleOff:  int32(len(m.rules)),
-		defClass: int32(rs.Default),
-		defDist:  defDist,
-	}
-	for ri := range rs.Rules {
-		ru := &rs.Rules[ri]
-		rm := ruleMeta{condOff: int32(len(m.conds)), class: int32(ru.Class)}
-		for _, c := range ru.Conditions {
-			m.conds = append(m.conds, cond{attr: int32(c.Attr), op: uint8(c.Op), val: c.Value})
-		}
-		rm.condN = int32(len(ru.Conditions))
-		// Precompute the firing rule's PredictProba answer with the exact
-		// expression tree.RuleSet.PredictProba evaluates per call.
-		dist := make([]float64, m.k)
-		rest := (1 - ru.Confidence) / float64(m.k-1)
-		for c := 0; c < m.k; c++ {
-			if c == int(rm.class) {
-				dist[c] = ru.Confidence
-			} else {
-				dist[c] = rest
-			}
-		}
-		if rm.dist, err = m.addDist(dist); err != nil {
-			return program{}, err
-		}
-		m.rules = append(m.rules, rm)
-	}
-	p.ruleN = int32(len(m.rules)) - p.ruleOff
 	return p, nil
 }
 

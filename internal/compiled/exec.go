@@ -4,7 +4,8 @@ import (
 	"math"
 
 	"highorder/internal/classifier"
-	"highorder/internal/tree"
+	"highorder/internal/core"
+	"highorder/internal/data"
 )
 
 // halfLog2Pi is the Gaussian normalization constant, produced at init by
@@ -107,86 +108,40 @@ func (m *Model) bayesPosteriorInto(p *program, values []float64, logp []float64)
 	return logp
 }
 
-// ruleMatches mirrors tree.Condition.Matches over the flattened
-// condition block.
-//
-//homlint:hotpath -- per-record compiled rule evaluation
-func (m *Model) ruleMatches(rm *ruleMeta, values []float64) bool {
-	for ci := rm.condOff; ci < rm.condOff+rm.condN; ci++ {
-		c := &m.conds[ci]
-		v := values[c.attr]
-		switch tree.CondOp(c.op) {
-		case tree.OpEq:
-			if v != c.val { //homlint:allow floatcmp -- mirrors tree.Condition.Matches: OpEq tests integer-coded nominal values exactly
-				return false
-			}
-		case tree.OpLE:
-			if !(v <= c.val) {
-				return false
-			}
-		default:
-			if !(v > c.val) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// rulesPredict mirrors tree.(*RuleSet).Predict: first matching rule wins.
-func (m *Model) rulesPredict(p *program, values []float64) int {
-	for ri := p.ruleOff; ri < p.ruleOff+p.ruleN; ri++ {
-		if m.ruleMatches(&m.rules[ri], values) {
-			return int(m.rules[ri].class)
-		}
-	}
-	return int(p.defClass)
-}
-
-// rulesDist mirrors tree.(*RuleSet).PredictProba, answering the
-// precomputed arena distribution of the first matching rule (or the
-// default training distribution). The returned slice aliases the arena
-// and must be treated as read-only.
-func (m *Model) rulesDist(p *program, values []float64) []float64 {
-	for ri := p.ruleOff; ri < p.ruleOff+p.ruleN; ri++ {
-		if m.ruleMatches(&m.rules[ri], values) {
-			d := m.rules[ri].dist
-			return m.arena[d : int(d)+m.k]
-		}
-	}
-	return m.arena[p.defDist : int(p.defDist)+m.k]
-}
-
-// conceptPredict returns concept c's predicted class for values; scratch
-// must have length k (the bayes posterior buffer).
+// ConceptPredict returns concept c's predicted class for x (labels
+// ignored); scratch must have length k (the bayes posterior buffer). It
+// answers exactly as the source model's classifier does.
 //
 //homlint:hotpath -- per-record compiled concept dispatch
-func (m *Model) conceptPredict(c int, values []float64, scratch []float64) int {
+func (m *Model) ConceptPredict(c int, x data.Record, scratch []float64) int {
 	p := &m.progs[c]
-	switch p.kind {
-	case progTree:
-		return int(m.nodes[m.treeWalk(p, values)].class)
-	case progBayes:
-		return classifier.ArgMax(m.bayesPosteriorInto(p, values, scratch))
-	default:
-		return m.rulesPredict(p, values)
+	if p.kind == progBayes {
+		return classifier.ArgMax(m.bayesPosteriorInto(p, x.Values, scratch))
 	}
+	return int(m.nodes[m.treeWalk(p, x.Values)].class)
 }
 
-// conceptDist returns concept c's class distribution for values; scratch
-// must have length k and may be the returned slice (bayes). Tree and rule
-// answers alias the arena and must be treated as read-only.
+// ConceptDist returns concept c's class distribution for x (labels
+// ignored); scratch must have length k and may be the returned slice
+// (bayes). A tree's answer aliases the arena and must be treated as
+// read-only.
 //
 //homlint:hotpath -- per-record compiled concept dispatch
-func (m *Model) conceptDist(c int, values []float64, scratch []float64) []float64 {
+func (m *Model) ConceptDist(c int, x data.Record, scratch []float64) []float64 {
 	p := &m.progs[c]
-	switch p.kind {
-	case progTree:
-		nd := &m.nodes[m.treeWalk(p, values)]
-		return m.arena[nd.dist : int(nd.dist)+m.k]
-	case progBayes:
-		return m.bayesPosteriorInto(p, values, scratch)
-	default:
-		return m.rulesDist(p, values)
+	if p.kind == progBayes {
+		return m.bayesPosteriorInto(p, x.Values, scratch)
 	}
+	nd := &m.nodes[m.treeWalk(p, x.Values)]
+	return m.arena[nd.dist : int(nd.dist)+m.k]
+}
+
+// Predictor is core's online predictor; this name for it stays for the
+// benchmark module, which refers to *compiled.Predictor.
+type Predictor = core.Predictor
+
+// NewPredictor returns a predictor over the source model that evaluates
+// every concept from m's tables, with every concept equally probable.
+func (m *Model) NewPredictor(opts core.PredictorOptions) *Predictor {
+	return m.src.NewPredictorOver(m, opts)
 }

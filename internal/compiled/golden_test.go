@@ -10,15 +10,18 @@ import (
 	"highorder/internal/classifier"
 	"highorder/internal/core"
 	"highorder/internal/data"
+	"highorder/internal/obs"
 	"highorder/internal/synth"
 	"highorder/internal/tree"
 )
 
 // The golden-equivalence suite (template: internal/cluster/golden_test.go):
-// the compiled predictor must reproduce the interpreted core.Predictor
-// bit for bit — predictions, full probability vectors, and post-observe
-// portable state — across base learners, predictor options, batch sizes,
-// and stream seeds. No tolerances anywhere: equality is math.Float64bits.
+// core.Predictor, evaluating its concepts from the compiled tables and
+// from the model's own classifiers, must reproduce the test-only oracle
+// (oracle_test.go) bit for bit — predictions, full probability vectors,
+// post-observe portable state and sink events — across base learners,
+// predictor options, batch sizes, and stream seeds. No tolerances
+// anywhere: equality is math.Float64bits.
 
 // sameFloat compares two float64s bit for bit.
 func sameFloat(a, b float64) bool {
@@ -78,7 +81,9 @@ func buildModels() {
 	}
 
 	// The rules model reuses the tree model's ensemble parameters (χ, Err)
-	// with each concept's tree lowered to a C4.5rules-style rule set.
+	// with each concept's tree lowered to a C4.5rules-style rule set: a
+	// classifier the compiler does not know, which only the classifiers
+	// evaluator runs.
 	rm := &core.Model{
 		Schema:      treeModel.Schema,
 		Concepts:    append([]core.Concept(nil), treeModel.Concepts...),
@@ -96,13 +101,15 @@ func buildModels() {
 	rulesModel = rm
 }
 
+// goldenModels returns the compilable golden models: one per learner
+// internal/dataio can load.
 func goldenModels(t testing.TB) map[string]*core.Model {
 	t.Helper()
 	modelOnce.Do(buildModels)
 	if buildErr != nil {
 		t.Fatalf("building golden models: %v", buildErr)
 	}
-	models := map[string]*core.Model{"tree": treeModel, "bayes": bayesModel, "rules": rulesModel, "majority": majorityModel}
+	models := map[string]*core.Model{"tree": treeModel, "bayes": bayesModel, "majority": majorityModel}
 	// Vacuousness guards: a single-concept model would make the pruning
 	// loop, the χ update, and the MAP tracking all trivial.
 	for name, m := range models {
@@ -113,13 +120,46 @@ func goldenModels(t testing.TB) map[string]*core.Model {
 	return models
 }
 
-// checkStateEqual compares the two predictors' portable snapshots bit for
-// bit.
-func checkStateEqual(t *testing.T, ip *core.Predictor, cp *Predictor, ctx string) {
+// equivalenceModels returns the golden models plus the rules model.
+func equivalenceModels(t testing.TB) map[string]*core.Model {
+	models := goldenModels(t)
+	models["rules"] = rulesModel
+	return models
+}
+
+// evaluator names one way to build the production predictor over a model.
+type evaluator struct {
+	name string
+	new  func(core.PredictorOptions) *core.Predictor
+}
+
+// evaluators returns the production predictor over m's own classifiers
+// and, when m compiles, over its compiled tables. Only the rules model
+// must fail to compile.
+func evaluators(t testing.TB, name string, m *core.Model) []evaluator {
+	t.Helper()
+	evs := []evaluator{{"classifiers", m.NewPredictorWithOptions}}
+	cm, err := Compile(m)
+	switch {
+	case name == "rules":
+		if err == nil {
+			t.Fatal("Compile accepted a model of rule sets")
+		}
+	case err != nil:
+		t.Fatalf("%s: compile: %v", name, err)
+	default:
+		evs = append(evs, evaluator{"compiled", cm.NewPredictor})
+	}
+	return evs
+}
+
+// checkStateEqual compares the oracle's and the predictor's portable
+// snapshots bit for bit.
+func checkStateEqual(t *testing.T, ip *oracle, cp *core.Predictor, ctx string) {
 	t.Helper()
 	is, cs := ip.Snapshot(), cp.Snapshot()
 	if !sameFloats(is.Active, cs.Active) {
-		t.Fatalf("%s: active probabilities diverged\ninterpreted: %v\ncompiled:    %v", ctx, is.Active, cs.Active)
+		t.Fatalf("%s: active probabilities diverged\noracle:    %v\npredictor: %v", ctx, is.Active, cs.Active)
 	}
 	if is.Observed != cs.Observed {
 		t.Fatalf("%s: observed %d vs %d", ctx, is.Observed, cs.Observed)
@@ -135,23 +175,23 @@ func checkStateEqual(t *testing.T, ip *core.Predictor, cp *Predictor, ctx string
 }
 
 func TestGoldenEquivalence(t *testing.T) {
-	models := goldenModels(t)
 	optVariants := map[string]core.PredictorOptions{
 		"default":   {},
 		"maponly":   {MAPOnly: true},
 		"nopruning": {DisablePruning: true},
 	}
-	for mname, m := range models {
-		cm, err := Compile(m)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", mname, err)
-		}
+	for mname, m := range equivalenceModels(t) {
+		evs := evaluators(t, mname, m)
 		for oname, opts := range optVariants {
 			for _, batch := range []int{1, 7, 64} {
 				for _, seed := range []int64{2, 3} {
 					name := fmt.Sprintf("%s/%s/batch%d/seed%d", mname, oname, batch, seed)
 					t.Run(name, func(t *testing.T) {
-						runEquivalenceStream(t, m, cm, opts, batch, seed)
+						for _, ev := range evs {
+							t.Run(ev.name, func(t *testing.T) {
+								runEquivalenceStream(t, m, ev.new, opts, batch, seed)
+							})
+						}
 					})
 				}
 			}
@@ -159,12 +199,21 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// runEquivalenceStream drives both predictors through an identical
-// test-then-train stream, comparing every output bit for bit.
-func runEquivalenceStream(t *testing.T, m *core.Model, cm *Model, opts core.PredictorOptions, batch int, seed int64) {
+// recordSink keeps every predictor event.
+func recordSink(evs *[]obs.PredictorEvent) obs.PredictorSink {
+	return obs.FuncSink(func(ev obs.PredictorEvent) { *evs = append(*evs, ev) })
+}
+
+// runEquivalenceStream drives the oracle and the predictor newPred builds
+// through an identical test-then-train stream, comparing every output bit
+// for bit.
+func runEquivalenceStream(t *testing.T, m *core.Model, newPred func(core.PredictorOptions) *core.Predictor, opts core.PredictorOptions, batch int, seed int64) {
 	g := synth.NewStagger(synth.StaggerConfig{Seed: seed, Lambda: 0.02})
-	ip := m.NewPredictorWithOptions(opts)
-	cp := cm.NewPredictor(opts)
+	ip := newOracle(m, opts)
+	cp := newPred(opts)
+	var iev, cev []obs.PredictorEvent
+	ip.SetSink(recordSink(&iev))
+	cp.SetSink(recordSink(&cev))
 
 	const total = 600
 	preds := make([]int, batch)
@@ -182,7 +231,7 @@ func runEquivalenceStream(t *testing.T, m *core.Model, cm *Model, opts core.Pred
 			id := ip.PredictProba(x)
 			cd := cp.PredictProba(x)
 			if !sameFloats(id, cd) {
-				t.Fatalf("step %d rec %d: PredictProba diverged\ninterpreted: %v\ncompiled:    %v", step, i, id, cd)
+				t.Fatalf("step %d rec %d: PredictProba diverged\noracle:    %v\npredictor: %v", step, i, id, cd)
 			}
 			if iw, cw := ip.Predict(x), cp.Predict(x); iw != cw {
 				t.Fatalf("step %d rec %d: Predict %d vs %d", step, i, iw, cw)
@@ -192,7 +241,7 @@ func runEquivalenceStream(t *testing.T, m *core.Model, cm *Model, opts core.Pred
 		cp.ClassifyBatch(recs, preds[:n])
 		for i, r := range recs {
 			if want := ip.Predict(data.Record{Values: r.Values}); preds[i] != want {
-				t.Fatalf("step %d rec %d: ClassifyBatch %d vs interpreted %d", step, i, preds[i], want)
+				t.Fatalf("step %d rec %d: ClassifyBatch %d vs oracle %d", step, i, preds[i], want)
 			}
 		}
 		// Train phase.
@@ -214,6 +263,10 @@ func runEquivalenceStream(t *testing.T, m *core.Model, cm *Model, opts core.Pred
 			t.Fatalf("step %d: priors diverged", step)
 		}
 		checkStateEqual(t, ip, cp, fmt.Sprintf("step %d", step))
+		if step == 3 {
+			ip.MarkDrift()
+			cp.MarkDrift()
+		}
 		// Exercise label-free time advance periodically (§III-B).
 		if step%5 == 4 {
 			ip.AdvanceTime(2)
@@ -224,16 +277,18 @@ func runEquivalenceStream(t *testing.T, m *core.Model, cm *Model, opts core.Pred
 		step++
 	}
 
-	// Cross-restore: interpreted state into a fresh compiled predictor and
-	// vice versa, then continue streaming — restored twins must stay
+	checkEventsEqual(t, iev, cev)
+
+	// Cross-restore: the oracle's state into a fresh predictor and vice
+	// versa, then continue streaming — restored twins must stay
 	// bit-identical.
-	ip2 := m.NewPredictorWithOptions(opts)
-	cp2 := cm.NewPredictor(opts)
+	ip2 := newOracle(m, opts)
+	cp2 := newPred(opts)
 	if err := cp2.Restore(ip.Snapshot()); err != nil {
-		t.Fatalf("restore interpreted snapshot into compiled: %v", err)
+		t.Fatalf("restore oracle snapshot into predictor: %v", err)
 	}
 	if err := ip2.Restore(cp.Snapshot()); err != nil {
-		t.Fatalf("restore compiled snapshot into interpreted: %v", err)
+		t.Fatalf("restore predictor snapshot into oracle: %v", err)
 	}
 	for i := 0; i < 40; i++ {
 		r := g.Next().Record
@@ -248,6 +303,21 @@ func runEquivalenceStream(t *testing.T, m *core.Model, cm *Model, opts core.Pred
 		cp2.Observe(r)
 	}
 	checkStateEqual(t, ip2, cp2, "post-restore")
+}
+
+// checkEventsEqual compares two sink event streams bit for bit.
+func checkEventsEqual(t *testing.T, want, got []obs.PredictorEvent) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("sink events: oracle %d, predictor %d", len(want), len(got))
+	}
+	for i, w := range want {
+		g := got[i]
+		if w.Seq != g.Seq || w.MAP != g.MAP || w.PrevMAP != g.PrevMAP || w.Switched != g.Switched ||
+			w.SinceDrift != g.SinceDrift || !sameFloat(w.Prob, g.Prob) || !sameFloats(w.Active, g.Active) {
+			t.Fatalf("sink event %d diverged\noracle:    %+v\npredictor: %+v", i, w, g)
+		}
+	}
 }
 
 // TestCompileRejectsUnsupportedClassifier proves the fallback contract:
@@ -286,7 +356,8 @@ func TestCompileRejectsMisSizedMajority(t *testing.T) {
 func (unsupportedClassifier) Predict(data.Record) int            { return 0 }
 func (unsupportedClassifier) PredictProba(data.Record) []float64 { return []float64{1, 0} }
 
-// TestRestoreValidation mirrors core.Predictor.Restore's refusals.
+// TestRestoreValidation: a compiled session refuses what core.Predictor's
+// Restore refuses, and a refusal changes nothing.
 func TestRestoreValidation(t *testing.T) {
 	models := goldenModels(t)
 	cm, err := Compile(models["tree"])

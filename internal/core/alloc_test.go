@@ -1,11 +1,10 @@
 //go:build !race
 
-// Allocation ceilings for the interpreted classify hot path. The
-// compiled twin (internal/compiled) is held to zero allocations; the
-// interpreted predictor is the fallback for unsupported classifiers and
-// must not regress into per-record garbage either. AllocsPerRun is
-// meaningless under the race detector, so this file is excluded from the
-// -race run; verify.sh runs it in a separate non-race pass.
+// Allocation ceilings for the classify hot path over the model's own
+// classifiers, the evaluator NewPredictor uses (internal/compiled holds
+// its tables to zero allocations too). AllocsPerRun is meaningless under
+// the race detector, so this file is excluded from the -race run;
+// verify.sh runs it in a separate non-race pass.
 
 package core
 
@@ -43,10 +42,11 @@ func bayesOptions() Options {
 	return o
 }
 
-// TestPredictAllocs holds interpreted Predict and PredictProba to zero
-// allocations per record for both base learners: the tree walk answers
-// node-owned distributions, the bayes evaluator writes into its reused
-// buffer, and the predictor accumulates into its own preallocated state.
+// TestPredictAllocs holds Predict, PredictProba and ClassifyBatch over the
+// model's own classifiers to zero allocations for both base learners: the
+// tree walk answers node-owned distributions, the bayes evaluator writes
+// into its reused buffer, and the predictor accumulates into its own
+// preallocated state.
 func TestPredictAllocs(t *testing.T) {
 	cases := map[string]func() Options{
 		"tree":  treeOptions,
@@ -65,6 +65,11 @@ func TestPredictAllocs(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(200, func() { _ = p.PredictProba(r) }); avg > 0 {
 			t.Errorf("%s: PredictProba allocates %.1f objects per record, want 0", name, avg)
+		}
+		recs := synth.TakeDataset(g, 64).Records
+		preds := make([]int, len(recs))
+		if avg := testing.AllocsPerRun(100, func() { p.ClassifyBatch(recs, preds) }); avg > 0 {
+			t.Errorf("%s: ClassifyBatch allocates %.1f objects per batch, want 0", name, avg)
 		}
 	}
 }

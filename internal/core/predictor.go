@@ -8,44 +8,6 @@ import (
 	"highorder/internal/obs"
 )
 
-// OnlinePredictor is the per-session online surface shared by the
-// interpreted *Predictor and its ahead-of-time compiled twin
-// (internal/compiled.Predictor). The serving layer holds sessions through
-// this interface, so an interpreted and a compiled session are
-// interchangeable — the compiled twin is proven bit-identical on every
-// method by internal/compiled's golden-equivalence suite. Implementations
-// inherit the Predictor's single-goroutine contract: callers must
-// serialize all access.
-type OnlinePredictor interface {
-	// Predict returns arg max_l Highorder(l|x) (Eq. 11).
-	Predict(x data.Record) int
-	// PredictProba returns Σ_c P_t⁻(c)·M_c(l|x) (Eq. 10); the returned
-	// slice is reused across calls.
-	PredictProba(x data.Record) []float64
-	// Observe folds one labeled record into the active probabilities
-	// (Eqs. 7–9).
-	Observe(y data.Record)
-	// Observed returns the number of labeled records consumed.
-	Observed() int
-	// CurrentConcept returns the posterior-MAP concept and its probability.
-	CurrentConcept() (concept int, probability float64)
-	// RecentExplainedRate mirrors Predictor.RecentExplainedRate.
-	RecentExplainedRate() (rate float64, full bool)
-	// ActiveProbabilities returns a copy of the posterior P_t(c).
-	ActiveProbabilities() []float64
-	// PriorProbabilities returns a copy of the prior P_t⁻(c).
-	PriorProbabilities() []float64
-	// MarkDrift records that the true stream concept changed now.
-	MarkDrift()
-	// AdvanceTime advances the prior without labels (§III-B).
-	AdvanceTime(steps int)
-	// Snapshot captures the portable online state; Restore overwrites it.
-	Snapshot() PredictorState
-	Restore(st PredictorState) error
-	// SetSink installs (or removes, with nil) the introspection sink.
-	SetSink(s obs.PredictorSink)
-}
-
 // PredictorOptions configure online prediction.
 type PredictorOptions struct {
 	// DisablePruning turns off the active-probability pruning of §III-C,
@@ -57,11 +19,41 @@ type PredictorOptions struct {
 	MAPOnly bool
 }
 
+// ConceptEvaluator answers one concept's classifier, M_c(x), for a
+// Predictor, which owns everything else: the active probabilities, the
+// ensemble and the pruning (Eqs. 5–11). NewPredictor evaluates each
+// concept with the model's own classifiers, so any classifier.Learner
+// works; internal/compiled evaluates from flat decision tables.
+//
+// scratch has one entry per class and belongs to the calling predictor:
+// an evaluator may write it and return it. The predictor treats a
+// returned distribution as read-only and drops it before the next call.
+type ConceptEvaluator interface {
+	// ConceptPredict returns concept c's predicted class for x.
+	ConceptPredict(c int, x data.Record, scratch []float64) int
+	// ConceptDist returns concept c's class distribution for x.
+	ConceptDist(c int, x data.Record, scratch []float64) []float64
+}
+
+// classifiers evaluates each concept of a Model with the concept's own
+// trained classifier.
+type classifiers Model
+
+func (m *classifiers) ConceptPredict(c int, x data.Record, _ []float64) int {
+	return m.Concepts[c].Model.Predict(x)
+}
+
+func (m *classifiers) ConceptDist(c int, x data.Record, _ []float64) []float64 {
+	return m.Concepts[c].Model.PredictProba(x)
+}
+
 // Predictor applies a high-order model to an online stream. It maintains
 // the posterior active probability P_t(c) of every concept, updated from
 // the labeled cue stream via Observe, and classifies unlabeled records via
 // Predict/PredictProba using the prior P_t⁻(c) (Eq. 10), since labels lag
-// the data being classified (§III-A).
+// the data being classified (§III-A). Its float state — post, prior, acc
+// and the evaluator's scratch — lives in one backing array, and the
+// pruning order is cached while the prior is valid.
 //
 // A Predictor is single-goroutine: it is not safe for concurrent use, and
 // every method (including the read-only accessors, which can lazily refresh
@@ -71,22 +63,27 @@ type PredictorOptions struct {
 // Snapshot/Restore to persist or inspect the online state across that
 // boundary.
 type Predictor struct {
-	m    *Model
-	opts PredictorOptions
+	m        *Model
+	concepts ConceptEvaluator
+	opts     PredictorOptions
 
 	// post is P_{t-1}(c), the posterior after the last observed label.
 	post []float64
 	// prior is P_t⁻(c), derived lazily from post through χ (Eq. 5).
 	prior      []float64
 	priorValid bool
+	// acc accumulates the weighted class distribution; scratch is lent to
+	// the evaluator.
+	acc     []float64
+	scratch []float64
 
 	// order caches concept indices sorted by decreasing prior for the
-	// pruned prediction loop; sorter wraps it as a reusable sort.Interface
-	// so the per-record Predict path allocates no comparator closure.
-	order  []int
-	sorter priorOrder
-	// acc accumulates the weighted class distribution.
-	acc []float64
+	// pruned prediction loop, refreshed after the prior changes; sorter
+	// wraps it as a reusable sort.Interface so the refresh allocates no
+	// comparator closure.
+	order      []int
+	sorter     priorOrder
+	orderValid bool
 
 	// observed counts labeled records seen, for diagnostics.
 	observed int
@@ -115,11 +112,8 @@ type Predictor struct {
 const explainWindow = 50
 
 // ExplainWindow exposes the RecentExplainedRate ring size, which also
-// bounds PredictorState.Explained — compiled twins and serving layers need
-// it to validate snapshots identically.
+// bounds PredictorState.Explained.
 const ExplainWindow = explainWindow
-
-var _ OnlinePredictor = (*Predictor)(nil)
 
 // NewPredictor returns a predictor with every concept equally probable
 // (P_1(c) = 1/N, §III-B).
@@ -129,14 +123,23 @@ func (m *Model) NewPredictor() *Predictor {
 
 // NewPredictorWithOptions returns a predictor with explicit options.
 func (m *Model) NewPredictorWithOptions(opts PredictorOptions) *Predictor {
-	n := len(m.Concepts)
+	return m.NewPredictorOver((*classifiers)(m), opts)
+}
+
+// NewPredictorOver returns a predictor over m that evaluates concept c
+// through concepts, which must answer exactly as m.Concepts[c].Model does.
+func (m *Model) NewPredictorOver(concepts ConceptEvaluator, opts PredictorOptions) *Predictor {
+	n, k := len(m.Concepts), m.Schema.NumClasses()
+	backing := make([]float64, 2*n+2*k)
 	p := &Predictor{
 		m:         m,
+		concepts:  concepts,
 		opts:      opts,
-		post:      make([]float64, n),
-		prior:     make([]float64, n),
+		post:      backing[:n:n],
+		prior:     backing[n : 2*n : 2*n],
+		acc:       backing[2*n : 2*n+k : 2*n+k],
+		scratch:   backing[2*n+k:],
 		order:     make([]int, n),
-		acc:       make([]float64, m.Schema.NumClasses()),
 		explained: make([]bool, explainWindow),
 		lastMAP:   -1,
 		driftMark: -1,
@@ -147,6 +150,9 @@ func (m *Model) NewPredictorWithOptions(opts PredictorOptions) *Predictor {
 	}
 	return p
 }
+
+// Concepts returns the evaluator the predictor consults for each concept.
+func (p *Predictor) Concepts() ConceptEvaluator { return p.concepts }
 
 // ActiveProbabilities returns the current posterior active probabilities
 // P_t(c). The returned slice is a copy.
@@ -253,7 +259,10 @@ func (p *Predictor) Learn(y data.Record) { p.Observe(y) }
 // Name implements classifier.Online.
 func (p *Predictor) Name() string { return "high-order" }
 
-// ensurePrior computes P_t⁻ = P_{t-1}·χ (Eq. 5) if stale.
+// ensurePrior computes P_t⁻ = P_{t-1}·χ (Eq. 5) if stale, adding source
+// concepts in ascending order. A recompute invalidates the pruning order.
+//
+//homlint:hotpath -- per-record prior refresh
 func (p *Predictor) ensurePrior() {
 	if p.priorValid {
 		return
@@ -268,6 +277,22 @@ func (p *Predictor) ensurePrior() {
 		p.prior[j] = s
 	}
 	p.priorValid = true
+	p.orderValid = false
+}
+
+// ensureOrder refreshes the cached pruning order. The comparator is a
+// strict total order on concept indices (prior descending, index
+// ascending on exact ties), so the sorted permutation is a pure function
+// of the prior, and caching it cannot change it.
+func (p *Predictor) ensureOrder() {
+	if p.orderValid {
+		return
+	}
+	for i := range p.order {
+		p.order[i] = i
+	}
+	sort.Sort(&p.sorter)
+	p.orderValid = true
 }
 
 // AdvanceTime advances the prior through steps additional record intervals
@@ -284,27 +309,28 @@ func (p *Predictor) AdvanceTime(steps int) {
 // Observe folds one labeled record into the active probabilities:
 // P_t(c) ∝ P_t⁻(c)·ψ(c, y_t) (Eqs. 7–9), where ψ is 1−Err_c when the
 // concept's classifier labels y correctly and Err_c otherwise (Eq. 8).
+// Each concept's classifier runs once; the prior-MAP concept's answer
+// also feeds RecentExplainedRate. Deliberately not a homlint hot path:
+// labels arrive far slower than classify traffic, and the optional sink
+// may allocate.
 func (p *Predictor) Observe(y data.Record) {
 	p.ensurePrior()
 	n := len(p.post)
-	// Track whether the currently most probable concept explains the
-	// label, feeding RecentExplainedRate.
 	mapConcept := 0
 	for c := 1; c < n; c++ {
 		if p.prior[c] > p.prior[mapConcept] {
 			mapConcept = c
 		}
 	}
-	p.explained[p.explainedNext] = p.m.Concepts[mapConcept].Model.Predict(y) == y.Class
-	p.explainedNext = (p.explainedNext + 1) % explainWindow
-	if p.explainedN < explainWindow {
-		p.explainedN++
-	}
 	sum := 0.0
 	for c := 0; c < n; c++ {
+		hit := p.concepts.ConceptPredict(c, y, p.scratch) == y.Class
+		if c == mapConcept {
+			p.explained[p.explainedNext] = hit
+		}
 		concept := &p.m.Concepts[c]
 		psi := concept.Err
-		if concept.Model.Predict(y) == y.Class {
+		if hit {
 			psi = 1 - concept.Err
 		}
 		// Floor ψ so a zero-validation-error concept cannot be ruled out
@@ -314,6 +340,10 @@ func (p *Predictor) Observe(y data.Record) {
 		}
 		p.post[c] = p.prior[c] * psi
 		sum += p.post[c]
+	}
+	p.explainedNext = (p.explainedNext + 1) % explainWindow
+	if p.explainedN < explainWindow {
+		p.explainedN++
 	}
 	if sum <= 0 {
 		for c := range p.post {
@@ -333,28 +363,32 @@ func (p *Predictor) Observe(y data.Record) {
 
 // PredictProba returns Highorder(l|x) = Σ_c P_t⁻(c)·M_c(l|x) (Eq. 10).
 // The returned slice is reused across calls.
+//
+//homlint:hotpath -- per-record ensemble distribution
 func (p *Predictor) PredictProba(x data.Record) []float64 {
 	p.ensurePrior()
-	for l := range p.acc {
-		p.acc[l] = 0
+	acc := p.acc
+	for l := range acc {
+		acc[l] = 0
 	}
-	for c := range p.m.Concepts {
-		w := p.prior[c]
+	for c, w := range p.prior {
 		if w == 0 { //homlint:allow floatcmp -- pruning writes an exact 0; this skips only concepts explicitly zeroed (§III-C)
 			continue
 		}
-		dist := p.m.Concepts[c].Model.PredictProba(x)
+		dist := p.concepts.ConceptDist(c, x, p.scratch)
 		for l, v := range dist {
-			p.acc[l] += w * v
+			acc[l] += w * v
 		}
 	}
-	return p.acc
+	return acc
 }
 
 // Predict returns arg max_l Highorder(l|x) (Eq. 11). When pruning is
 // enabled it enumerates concepts in decreasing prior probability and stops
 // as soon as the remaining probability mass cannot change the winning class
 // (§III-C); with a clear current concept this consults a single classifier.
+//
+//homlint:hotpath -- the per-record classify kernel
 func (p *Predictor) Predict(x data.Record) int {
 	p.ensurePrior()
 	if p.opts.MAPOnly {
@@ -364,41 +398,48 @@ func (p *Predictor) Predict(x data.Record) int {
 				best = c
 			}
 		}
-		return p.m.Concepts[best].Model.Predict(x)
+		return p.concepts.ConceptPredict(best, x, p.scratch)
 	}
 	if p.opts.DisablePruning {
 		return classifier.ArgMax(p.PredictProba(x))
 	}
 
-	n := len(p.prior)
-	for i := range p.order {
-		p.order[i] = i
-	}
-	sort.Sort(&p.sorter)
-	for l := range p.acc {
-		p.acc[l] = 0
+	p.ensureOrder()
+	acc := p.acc
+	for l := range acc {
+		acc[l] = 0
 	}
 	remaining := 1.0
-	for rank := 0; rank < n; rank++ {
-		c := p.order[rank]
+	for _, c := range p.order {
 		w := p.prior[c]
 		remaining -= w
 		if w > 0 {
-			dist := p.m.Concepts[c].Model.PredictProba(x)
+			dist := p.concepts.ConceptDist(c, x, p.scratch)
 			for l, v := range dist {
-				p.acc[l] += w * v
+				acc[l] += w * v
 			}
 		}
 		if remaining < 1e-12 {
 			break
 		}
 		// The unseen concepts contribute at most `remaining` to any class.
-		best, second := topTwo(p.acc)
-		if p.acc[best]-p.acc[second] > remaining {
+		best, second := topTwo(acc)
+		if acc[best]-acc[second] > remaining {
 			break
 		}
 	}
-	return classifier.ArgMax(p.acc)
+	return classifier.ArgMax(acc)
+}
+
+// ClassifyBatch writes Predict of every record of recs, labels ignored,
+// into preds (which must be at least as long), allocating nothing — the
+// serve layer's classify path.
+//
+//homlint:hotpath -- the serve batch classify path
+func (p *Predictor) ClassifyBatch(recs []data.Record, preds []int) {
+	for i := range recs {
+		preds[i] = p.Predict(data.Record{Values: recs[i].Values})
+	}
 }
 
 // topTwo returns the indices of the largest and second-largest values.
@@ -420,8 +461,8 @@ func topTwo(v []float64) (best, second int) {
 }
 
 // priorOrder sorts concept indices by decreasing prior, ties broken by
-// index. It implements sort.Interface as a named type so the per-record
-// prediction path pays no comparator-closure allocation.
+// index. It implements sort.Interface as a named type so the order refresh
+// pays no comparator-closure allocation.
 type priorOrder struct {
 	order []int
 	prior []float64

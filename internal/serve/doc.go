@@ -7,10 +7,11 @@
 //
 // Architecture:
 //
-//   - Each client stream owns a Session wrapping one predictor compiled
-//     from the model (internal/compiled); a per-session mutex serializes
-//     predictor access (the predictor is single-goroutine by contract).
-//     A model the compiler rejects is refused at boot.
+//   - Each client stream owns a Session wrapping one core.Predictor that
+//     evaluates the model's concepts from its compiled tables
+//     (internal/compiled); a per-session mutex serializes predictor
+//     access (the predictor is single-goroutine by contract). A model the
+//     compiler rejects is refused at boot.
 //   - Sessions live in a store.Store: memory-only and bounded by
 //     MaxSessions by default, or tiered to disk with a spill directory.
 //     One TTL rule, driven by the injectable clock, spills idle sessions;

@@ -119,17 +119,17 @@ func TestSessionIDsAreSequential(t *testing.T) {
 	}
 }
 
-// TestSessionsRunCompiled: every served session runs on the compiled
-// predictor — testModel's Majority concepts included — because a model
-// the compiler rejects never boots.
+// TestSessionsRunCompiled: every served session evaluates its concepts
+// from the server's compiled tables — testModel's Majority concepts
+// included — because a model the compiler rejects never boots.
 func TestSessionsRunCompiled(t *testing.T) {
 	s := New(testModel(), Options{})
 	sess, err := s.table.create(core.PredictorOptions{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sess.p.(*compiled.Predictor); !ok {
-		t.Fatalf("session predictor is %T, want *compiled.Predictor", sess.p)
+	if cm, ok := sess.p.Concepts().(*compiled.Model); !ok || cm != s.table.model {
+		t.Fatalf("session predictor evaluates concepts with %T, want the server's *compiled.Model", sess.p.Concepts())
 	}
 }
 

@@ -41,11 +41,10 @@ type Session struct {
 	opts core.PredictorOptions
 
 	mu sync.Mutex
-	// p is the compiled twin (*compiled.Predictor) in a served session and
-	// the interpreted *core.Predictor in a local one — bit-identical by
-	// internal/compiled's golden suite, so everything above this field is
-	// implementation-blind.
-	p core.OnlinePredictor
+	// p evaluates its concepts from the server's compiled tables in a
+	// served session and with the model's own classifiers in a local one;
+	// the two answer bit-identically (internal/compiled's golden suite).
+	p *core.Predictor
 	// curTC is the trace context of the task currently executing under
 	// mu, so predictor sink events (concept switches) fired inside
 	// observeLocked attach to the request's trace. Written and read only
@@ -108,24 +107,17 @@ func (s *Session) classifyLocked(recs []data.Record, withProba bool) ClassifyRes
 	out := ClassifyResponse{Predictions: make([]int, len(recs))}
 	out.MAPConcept, _ = s.p.CurrentConcept()
 	if !withProba {
-		// Compiled fast path: one zero-allocation pass over the whole
-		// batch. ClassifyBatch ignores record labels, matching the
-		// Values-only copy the interpreted loop below makes.
-		if cp, ok := s.p.(*compiled.Predictor); ok {
-			cp.ClassifyBatch(recs, out.Predictions)
-			return out
-		}
+		// One zero-allocation pass over the whole batch; ClassifyBatch
+		// ignores record labels, as the loop below does.
+		s.p.ClassifyBatch(recs, out.Predictions)
+		return out
 	}
-	if withProba {
-		out.Probabilities = make([][]float64, len(recs))
-	}
+	out.Probabilities = make([][]float64, len(recs))
 	for i, r := range recs {
 		x := data.Record{Values: r.Values}
-		if withProba {
-			// PredictProba reuses its buffer; copy per record.
-			dist := s.p.PredictProba(x)
-			out.Probabilities[i] = append([]float64(nil), dist...)
-		}
+		// PredictProba reuses its buffer; copy per record.
+		dist := s.p.PredictProba(x)
+		out.Probabilities[i] = append([]float64(nil), dist...)
 		out.Predictions[i] = s.p.Predict(x)
 	}
 	return out

@@ -67,18 +67,19 @@ go test ./internal/obs -run Allocs -count=1
 go test ./internal/store -run Allocs -count=1
 go test ./internal/serve -run 'Allocs|HeapBound|DiskBound' -count=1
 
-# The compiled classify hot path contract: ClassifyBatch allocates
-# nothing per call for any compiled base learner, the interpreted
-# Predict/PredictProba twins stay 0-alloc too, and both the compiled
-# kernel and the whole binary-codec classify path through a loopback HTTP
-# server (execution slots, session table, codec; client and server on
-# the same core) sustain at least 1M records/s pinned to one core — constant
+# The classify hot path contract: core.Predictor's ClassifyBatch
+# allocates nothing per call over the compiled tables for any compiled
+# base learner, and Predict, PredictProba and ClassifyBatch stay 0-alloc
+# over the model's own classifiers too; both the compiled kernel and the
+# whole binary-codec classify path through a loopback HTTP server
+# (execution slots, session table, codec; client and server on the same
+# core) sustain at least 1M records/s pinned to one core — constant
 # floors, in internal/compiled and internal/serve
 # TestClassifyBatchThroughput and TestBinaryClassifyThroughput. The -race
-# pass above already proves the compiled and interpreted predictors
-# bit-identical (TestGoldenEquivalence plus the differential fuzz
-# corpus); these ceilings run without the race detector because its
-# instrumentation skews both allocations and time.
+# pass above already proves the predictor over both concept evaluators
+# bit-identical to the test-only oracle (TestGoldenEquivalence plus the
+# differential fuzz corpus); these ceilings run without the race detector
+# because its instrumentation skews both allocations and time.
 step "compiled hot path: alloc ceilings + records/s floors, kernel and binary HTTP (GOMAXPROCS=1)"
 go test ./internal/core -run Allocs -count=1
 GOMAXPROCS=1 go test ./internal/compiled -run 'Allocs|Throughput' -count=1
@@ -124,15 +125,17 @@ go test ./internal/dataio -run='^$' -fuzz='^FuzzReadStream$' -fuzztime="$FUZZTIM
 step "fuzz serve JSON request decoder vs encoding/json (${FUZZTIME})"
 go test ./internal/serve -run='^$' -fuzz='^FuzzClassifyRequest$' -fuzztime="$FUZZTIME"
 
-# The binary wire codec and the compiled predictor each carry a
+# The binary wire codec and the online predictor each carry a
 # differential fuzzer: binary frames must round-trip losslessly and
 # reach the same accept/reject verdict as the JSON decoder, and the
-# compiled predictor must stay bit-identical to the interpreted one
-# under arbitrary interleavings of observe/advance/classify.
+# production predictor, over the compiled tables and over the model's own
+# classifiers, must stay bit-identical to the test-only oracle (the
+# interpreted predictor in internal/compiled/oracle_test.go) under
+# arbitrary interleavings of observe/advance/restore/classify.
 step "fuzz binary records codec (${FUZZTIME})"
 go test ./internal/serve -run='^$' -fuzz='^FuzzBinaryRecords$' -fuzztime="$FUZZTIME"
 
-step "fuzz compiled-vs-interpreted differential (${FUZZTIME})"
+step "fuzz predictor (compiled tables and classifiers) vs test-only oracle (${FUZZTIME})"
 go test ./internal/compiled -run='^$' -fuzz='^FuzzCompiledVsInterpreted$' -fuzztime="$FUZZTIME"
 
 # The sort-once tree grower must build the same tree as the retained
