@@ -38,19 +38,22 @@ type Learner interface {
 
 // OrderedLearner is a Learner that can keep the presorted form of a
 // training set and train on the concatenation of two such sets without
-// sorting it again. The concept-clustering engine trains nearly every
-// candidate merger on exactly such a concatenation; learners without this
-// interface train it through Train.
+// sorting it again or copying its records. The concept-clustering engine
+// trains every candidate merger on exactly such a concatenation; learners
+// without this interface train it through Train on a copy.
 type OrderedLearner interface {
 	Learner
 	// NewOrder presorts d. It fails where Train(d) would fail on d's
 	// values.
 	NewOrder(d *data.Dataset) (Order, error)
-	// ConcatOrder returns the order of x's records followed by y's.
+	// ConcatOrder returns the order of x's records followed by y's. It
+	// consumes x and y: their memory may back later orders, so neither
+	// may be used again.
 	ConcatOrder(x, y Order) Order
-	// TrainConcat trains on d, which holds x's records followed by y's,
-	// and returns the classifier Train(d) would.
-	TrainConcat(d *data.Dataset, x, y Order) (Classifier, error)
+	// TrainConcat trains on v's records, which are x's followed by y's,
+	// reading them in place, and returns the classifier Train would on a
+	// dataset of them.
+	TrainConcat(v *data.View, x, y Order) (Classifier, error)
 }
 
 // Order is an OrderedLearner's presorted form of one training set. Only

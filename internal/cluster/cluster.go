@@ -228,9 +228,10 @@ type Stats struct {
 	// ModelsReused counts mergers resolved by the classifier-reuse
 	// optimization (§II-D) instead of a retraining.
 	ModelsReused int
-	// RecordsCopied counts record copies the engine performed: holdout
-	// splits, training-set materializations, and the shared sample build.
-	// The zero-copy dataset views exist to drive this down.
+	// RecordsCopied counts the records the engine copied: into the
+	// holdout halves, into the training sets of learners without orders
+	// (an ordered learner reads a candidate's records in place), and into
+	// the shared sample.
 	RecordsCopied int
 }
 
@@ -314,9 +315,10 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 
 	// Step 2: chunks → concepts, over a complete graph. Chunk nodes carry
 	// their models, holdout halves and orders forward; reset ids and
-	// dendrogram links so they become fresh leaves. A chunk the cut took
-	// from inside a step-1 dendrogram was merged away and has no order, so
-	// the mergers it takes part in sort their training sets.
+	// dendrogram links so they become fresh leaves. Each order moves to
+	// its step-2 node. A chunk the cut took from inside a step-1
+	// dendrogram lost its order to its parent's merger, and gets one once
+	// here.
 	step2 := make([]*node, len(chunkNodes))
 	for i, c := range chunkNodes {
 		step2[i] = &node{
@@ -331,8 +333,13 @@ func ClusterConcepts(hist *data.Dataset, opts Options) (*Clustering, error) {
 			errStar:   c.err,
 			members:   []int{i},
 		}
+		c.order = nil
 	}
 	spConcept := o.Span.Child(spanConceptMerge)
+	if err := eng.orderChunks(step2); err != nil {
+		spConcept.End()
+		return nil, err
+	}
 	eng.nextID = len(step2)
 	eng.prepareSamples(step2)
 	roots2 := agglomerate(eng, step2, true)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"highorder/internal/classifier"
@@ -86,20 +87,43 @@ func errorRate(wrong, n int) float64 {
 	return float64(wrong) / float64(n)
 }
 
+// holdoutSources recycles the sources the leaves draw their holdout
+// splits from; a leaf reseeds one in place, which allocates nothing.
+var holdoutSources = sync.Pool{New: func() any { return rng.New(0) }}
+
 // makeLeaves builds all input nodes, training their models in parallel.
 // Each block's holdout split draws from its own source, seeded from a
 // draw pre-assigned sequentially (exactly what rng.Split draws), so the
 // result is independent of the worker count (Algorithm 1, lines 2–7).
+//
+// The blocks' train halves are written side by side into one array in
+// block order, and their test halves into another. Each half keeps its
+// capacity to its array's end, so View.Concat coalesces the halves of
+// adjacent blocks, and every step-1 cluster's train and test views stay
+// one segment each.
 func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 	nodes := make([]*node, len(blocks))
 	seeds := make([]int64, len(blocks))
-	for i := range blocks {
+	trainOff := make([]int, len(blocks)+1)
+	testOff := make([]int, len(blocks)+1)
+	for i, b := range blocks {
 		seeds[i] = e.src.Int63()
+		nTrain, nTest := data.HoldoutSizes(b.Len())
+		trainOff[i+1] = trainOff[i] + nTrain
+		testOff[i+1] = testOff[i] + nTest
 	}
+	trainAll := make([]data.Record, trainOff[len(blocks)])
+	testAll := make([]data.Record, testOff[len(blocks)])
 	errs := make([]error, len(blocks))
 	e.pool.Run(len(blocks), func(i int) {
-		train, test := blocks[i].SplitHoldout(rng.New(seeds[i]))
-		e.recordsCopied.Add(int64(blocks[i].Len()))
+		block := blocks[i]
+		train := &data.Dataset{Schema: block.Schema, Records: trainAll[trainOff[i]:trainOff[i+1]]}
+		test := &data.Dataset{Schema: block.Schema, Records: testAll[testOff[i]:testOff[i+1]]}
+		src := holdoutSources.Get().(*rng.Source)
+		src.Seed(seeds[i])
+		block.SplitHoldout(src, train.Records, test.Records)
+		holdoutSources.Put(src)
+		e.recordsCopied.Add(int64(block.Len()))
 		model, err := e.train(train)
 		var order classifier.Order
 		if err == nil && e.ordered != nil {
@@ -113,7 +137,7 @@ func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 		errRate := errorRate(wrong, test.Len())
 		nodes[i] = &node{
 			id:        i,
-			all:       data.ViewOf(blocks[i]),
+			all:       data.ViewOf(block),
 			train:     data.ViewOf(train),
 			test:      data.ViewOf(test),
 			order:     order,
@@ -132,20 +156,54 @@ func (e *engine) makeLeaves(blocks []*data.Dataset) ([]*node, error) {
 	return nodes, nil
 }
 
+// orderChunks gives each step-2 input node that has no order one, built
+// in parallel from its train half. A step-1 cluster covers adjacent
+// blocks, so the half is one segment, and the order reads it in place.
+func (e *engine) orderChunks(nodes []*node) error {
+	if e.ordered == nil {
+		return nil
+	}
+	var need []*node
+	for _, n := range nodes {
+		if n.order == nil {
+			need = append(need, n)
+		}
+	}
+	errs := make([]error, len(need))
+	e.pool.Run(len(need), func(i int) {
+		n := need[i]
+		segs := n.train.Segments()
+		if len(segs) != 1 {
+			panic("cluster: a step-1 cluster's train half spans several segments")
+		}
+		n.order, errs[i] = e.ordered.NewOrder(&data.Dataset{Schema: n.train.Schema(), Records: segs[0]})
+	})
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: step 2 chunk order: %w", err)
+		}
+	}
+	return nil
+}
+
 func (e *engine) train(d *data.Dataset) (classifier.Classifier, error) {
 	e.modelsTrained.Add(1)
 	return e.learner.Train(d)
 }
 
-// fit trains on d, which holds x's train half followed by y's, merging
-// the two halves' orders when both have one instead of sorting d. Either
-// way it trains the classifier e.train(d) would, but it charges nothing:
-// its caller's evaluation reports the training as work.
-func (e *engine) fit(d *data.Dataset, x, y *node) (classifier.Classifier, error) {
-	if x.order == nil || y.order == nil {
-		return e.learner.Train(d)
+// fit trains on train, which holds x's train half followed by y's, and
+// returns the records it copied to do so. An ordered learner reads the
+// view in place and merges the two halves' orders; any other learner
+// trains on a copy. Either way it trains the classifier e.train would on
+// those records, but it charges nothing: its caller's evaluation reports
+// the training as work.
+func (e *engine) fit(train *data.View, x, y *node) (classifier.Classifier, int, error) {
+	if e.ordered != nil {
+		model, err := e.ordered.TrainConcat(train, x.order, y.order)
+		return model, 0, err
 	}
-	return e.ordered.TrainConcat(d, x.order, y.order)
+	model, err := e.learner.Train(train.Materialize())
+	return model, train.Len(), err
 }
 
 // prepareSamples builds the shared sample list L from the nodes' test
@@ -560,16 +618,14 @@ func (e *engine) evalMerged(u, v *node) *mergedEval {
 		wrong := big.testWrong + e.mistakes(big.model, small.test)
 		return &mergedEval{model: big.model, err: errorRate(wrong, testLen), wrong: wrong, reused: true}
 	}
-	// The one place the optimized merge path still copies records.
-	train := big.train.Concat(small.train).Materialize()
-	model, err := e.fit(train, big, small)
+	model, copied, err := e.fit(big.train.Concat(small.train), big, small)
 	if err != nil {
 		// Training on a merged non-empty dataset cannot fail for the
 		// learners in this repository; treat it as a programming error.
 		panic(fmt.Sprintf("cluster: training merged cluster: %v", err)) //homlint:allow hotpathalloc -- panic message on a cannot-happen path
 	}
 	wrong := e.mistakes(model, big.test) + e.mistakes(model, small.test)
-	return &mergedEval{model: model, err: errorRate(wrong, testLen), wrong: wrong, copied: train.Len()}
+	return &mergedEval{model: model, err: errorRate(wrong, testLen), wrong: wrong, copied: copied}
 }
 
 // charge adds an evaluation's work to the counters: a reuse, or a

@@ -149,9 +149,9 @@ type concatCounter struct {
 	n atomic.Int64
 }
 
-func (c *concatCounter) TrainConcat(d *data.Dataset, x, y classifier.Order) (classifier.Classifier, error) {
+func (c *concatCounter) TrainConcat(v *data.View, x, y classifier.Order) (classifier.Classifier, error) {
 	c.n.Add(1)
-	return c.Learner.TrainConcat(d, x, y)
+	return c.Learner.TrainConcat(v, x, y)
 }
 
 // TestGoldenEquivalence is the equivalence contract of the optimized

@@ -10,10 +10,9 @@ import (
 
 // TestOrdersFollowMergers pins the memory the cached column orders hold:
 // after each step every merged-away node has dropped its order, and every
-// root that holds one holds exactly the threshold order of its train
-// half. After step 1 every root holds one. Step 2 starts without one for
-// each chunk the cut took from inside a step-1 dendrogram, whose merger
-// dropped it.
+// root holds exactly the threshold order of its train half. Step 2 gives
+// an order to each chunk the cut took from inside a step-1 dendrogram,
+// whose merger consumed its own, so no step-2 merger sorts.
 func TestOrdersFollowMergers(t *testing.T) {
 	d := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 44, Noise: 0.1, Lambda: 0.005}), 3000)
 	steps := 0
@@ -46,10 +45,7 @@ func TestOrdersFollowMergers(t *testing.T) {
 		for _, r := range roots {
 			walk(r)
 			if r.order == nil {
-				if !complete {
-					t.Fatalf("step 1: root %d has no order", r.id)
-				}
-				continue
+				t.Fatalf("step %d: root %d has no order", steps, r.id)
 			}
 			want, err := tree.NewOrder(r.train.Materialize())
 			if err != nil {

@@ -2,13 +2,16 @@
 
 // Allocation ceilings for the classify hot path over the model's own
 // classifiers, the evaluator NewPredictor uses (internal/compiled holds
-// its tables to zero allocations too). AllocsPerRun is meaningless under
-// the race detector, so this file is excluded from the -race run;
-// verify.sh runs it in a separate non-race pass.
+// its tables to zero allocations too), and the allocation bound of a
+// build. Allocation counts are meaningless under the race detector, so
+// this file is excluded from the -race run; verify.sh runs it in a
+// separate non-race pass.
 
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"highorder/internal/bayes"
@@ -71,5 +74,37 @@ func TestPredictAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { p.ClassifyBatch(recs, preds) }); avg > 0 {
 			t.Errorf("%s: ClassifyBatch allocates %.1f objects per batch, want 0", name, avg)
 		}
+	}
+}
+
+// buildAllocBound is the package doc's bound on what one Build of a
+// 20,000-record SEA history allocates.
+const buildAllocBound = 32 << 20
+
+// TestBuildAllocBound holds one Build of a seeded 20,000-record SEA
+// history, after a warm-up build has filled the reusable buffers, to
+// buildAllocBound bytes of allocation, at one and two workers.
+func TestBuildAllocBound(t *testing.T) {
+	hist := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 31}), 20000)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Seed = 31
+			opts.Workers = workers
+			if _, err := Build(hist, opts); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Build(hist, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("one build allocated %.1f MB in %d objects", float64(got)/(1<<20), after.Mallocs-before.Mallocs)
+			if got > buildAllocBound {
+				t.Fatalf("one build allocated %.1f MB, bound %d MB", float64(got)/(1<<20), buildAllocBound>>20)
+			}
+		})
 	}
 }

@@ -7,6 +7,10 @@
 // probability-weighted ensemble of concept classifiers (Eqs. 10–11),
 // optionally pruning concepts whose probability cannot change the answer
 // (§III-C).
+//
+// Build's allocation is bounded: after a warm-up build, one Build of a
+// seeded 20,000-record SEA history with DefaultOptions allocates at most
+// 32 MB, at one worker or two (TestBuildAllocBound).
 package core
 
 import (

@@ -278,25 +278,29 @@ type Shuffler interface {
 	Perm(n int) []int
 }
 
-// SplitHoldout partitions d into two datasets: a random half for training
-// and the remaining half for testing, per the paper's holdout validation
-// (§II-B). When d has an odd length the extra record goes to the training
-// half. Records are shared with d, not copied.
-func (d *Dataset) SplitHoldout(s Shuffler) (train, test *Dataset) {
+// HoldoutSizes returns the sizes of the two halves SplitHoldout makes of
+// n records: the extra record of an odd n goes to the training half.
+func HoldoutSizes(n int) (train, test int) { return n - n/2, n / 2 }
+
+// SplitHoldout partitions d into a random half for training and the
+// remaining half for testing, per the paper's holdout validation (§II-B),
+// copying the records into the caller's train and test slices, whose
+// lengths must be HoldoutSizes(d.Len()). The first n/2 positions of
+// s.Perm(n) pick the test records, the rest the training records, each
+// half in permutation order.
+func (d *Dataset) SplitHoldout(s Shuffler, train, test []Record) {
 	n := len(d.Records)
-	perm := s.Perm(n)
-	nTest := n / 2
-	testRecs := make([]Record, 0, nTest)
-	trainRecs := make([]Record, 0, n-nTest)
-	for i, p := range perm {
+	if nTrain, nTest := HoldoutSizes(n); len(train) != nTrain || len(test) != nTest {
+		panic("data: SplitHoldout halves do not match HoldoutSizes")
+	}
+	nTest := len(test)
+	for i, p := range s.Perm(n) {
 		if i < nTest {
-			testRecs = append(testRecs, d.Records[p]) //homlint:allow hotpathalloc -- appends into exact-capacity preallocation
+			test[i] = d.Records[p]
 		} else {
-			trainRecs = append(trainRecs, d.Records[p]) //homlint:allow hotpathalloc -- appends into exact-capacity preallocation
+			train[i-nTest] = d.Records[p]
 		}
 	}
-	return &Dataset{Schema: d.Schema, Records: trainRecs},
-		&Dataset{Schema: d.Schema, Records: testRecs}
 }
 
 // KFold partitions d into k cross-validation folds: fold i's test set is

@@ -153,13 +153,15 @@ func TestSliceAndConcat(t *testing.T) {
 
 func TestSplitHoldout(t *testing.T) {
 	d := smallDataset(0, 1, 0, 1, 0, 1, 0)
-	train, test := d.SplitHoldout(rng.New(1))
-	if test.Len() != 3 || train.Len() != 4 {
-		t.Fatalf("holdout sizes train=%d test=%d, want 4,3 (odd extra to train)", train.Len(), test.Len())
+	nTrain, nTest := HoldoutSizes(d.Len())
+	if nTest != 3 || nTrain != 4 {
+		t.Fatalf("holdout sizes train=%d test=%d, want 4,3 (odd extra to train)", nTrain, nTest)
 	}
+	train, test := make([]Record, nTrain), make([]Record, nTest)
+	d.SplitHoldout(rng.New(1), train, test)
 	// Every original record appears exactly once across the two halves.
 	seen := make(map[float64]int)
-	for _, r := range append(append([]Record{}, train.Records...), test.Records...) {
+	for _, r := range append(append([]Record{}, train...), test...) {
 		seen[r.Values[1]]++
 	}
 	if len(seen) != 7 {
@@ -174,15 +176,20 @@ func TestSplitHoldout(t *testing.T) {
 
 func TestSplitHoldoutDeterministic(t *testing.T) {
 	d := smallDataset(0, 1, 0, 1, 0, 1)
-	tr1, te1 := d.SplitHoldout(rng.New(9))
-	tr2, te2 := d.SplitHoldout(rng.New(9))
-	for i := range tr1.Records {
-		if tr1.Records[i].Values[1] != tr2.Records[i].Values[1] {
+	split := func(seed int64) (train, test []Record) {
+		train, test = make([]Record, 3), make([]Record, 3)
+		d.SplitHoldout(rng.New(seed), train, test)
+		return train, test
+	}
+	tr1, te1 := split(9)
+	tr2, te2 := split(9)
+	for i := range tr1 {
+		if tr1[i].Values[1] != tr2[i].Values[1] {
 			t.Fatal("holdout split not deterministic for equal seeds")
 		}
 	}
-	for i := range te1.Records {
-		if te1.Records[i].Values[1] != te2.Records[i].Values[1] {
+	for i := range te1 {
+		if te1[i].Values[1] != te2[i].Values[1] {
 			t.Fatal("holdout split not deterministic for equal seeds")
 		}
 	}

@@ -88,7 +88,9 @@ func (v *View) AppendTo(dst []Record) []Record {
 }
 
 // Materialize flattens the view into a freshly allocated Dataset. Record
-// structs are copied; their Values slices remain shared.
+// structs are copied; their Values slices remain shared. The clustering
+// engine calls it only for learners without orders: an ordered learner
+// (classifier.OrderedLearner) reads a view's segments in place.
 func (v *View) Materialize() *Dataset {
 	return &Dataset{Schema: v.schema, Records: v.AppendTo(make([]Record, 0, v.n))}
 }

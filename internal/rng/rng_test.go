@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -205,3 +207,159 @@ func TestIntnBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// matchDraws runs the same mix of draws through s and math/rand's r: every
+// sampler Source forwards, with Uint64, Intn, Perm and Shuffle at sizes
+// that take each of math/rand's code paths. It returns the draws made and
+// the first mismatch, "" when there is none.
+func matchDraws(s *Source, r *rand.Rand, rounds int) (int, string) {
+	draws := 0
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 40; i++ {
+			if a, b := s.Int63(), r.Int63(); a != b {
+				return draws, fmt.Sprintf("round %d Int63 %d: %d, want %d", round, i, a, b)
+			}
+			if a, b := s.r.Uint64(), r.Uint64(); a != b {
+				return draws, fmt.Sprintf("round %d Uint64 %d: %d, want %d", round, i, a, b)
+			}
+			n := []int{1, 2, 7, 1 << 20, 1<<31 - 1, 1 << 40}[i%6]
+			if a, b := s.Intn(n), r.Intn(n); a != b {
+				return draws, fmt.Sprintf("round %d Intn(%d) %d: %d, want %d", round, n, i, a, b)
+			}
+			if a, b := s.Float64(), r.Float64(); math.Float64bits(a) != math.Float64bits(b) {
+				return draws, fmt.Sprintf("round %d Float64 %d: %v, want %v", round, i, a, b)
+			}
+			if a, b := s.NormFloat64(), r.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+				return draws, fmt.Sprintf("round %d NormFloat64 %d: %v, want %v", round, i, a, b)
+			}
+			draws += 5
+		}
+		pa, pb := s.Perm(10+round), r.Perm(10+round)
+		for i := range pb {
+			if pa[i] != pb[i] {
+				return draws, fmt.Sprintf("round %d Perm(%d)[%d]: %d, want %d", round, len(pb), i, pa[i], pb[i])
+			}
+		}
+		draws += len(pb)
+		sa, sb := make([]int, 30), make([]int, 30)
+		for i := range sa {
+			sa[i], sb[i] = i, i
+		}
+		s.Shuffle(len(sa), func(i, j int) { sa[i], sa[j] = sa[j], sa[i] })
+		r.Shuffle(len(sb), func(i, j int) { sb[i], sb[j] = sb[j], sb[i] })
+		for i := range sb {
+			if sa[i] != sb[i] {
+				return draws, fmt.Sprintf("round %d Shuffle[%d]: %d, want %d", round, i, sa[i], sb[i])
+			}
+		}
+		draws += len(sb) - 1
+	}
+	return draws, ""
+}
+
+// TestSourceMatchesMathRand pins Source to math/rand's stream for the seeds
+// at the edges of its seed reduction (mod 2^31−1, with 0 remapped), over
+// more draws than it takes to build every lazily seeded word (334), then
+// again after reseeding in place. The eager Seed, which rand.Source
+// requires, must match too.
+func TestSourceMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	seeds := []int64{
+		0, 1, -1, 42, m, -m, 2 * m, -2 * m, 7 * m, -7 * m, m << 32, -(m << 32),
+		m - 1, m + 1, 1 << 62, -(1 << 62), math.MinInt64, math.MaxInt64,
+	}
+	for _, seed := range seeds {
+		s, r := New(seed), rand.New(rand.NewSource(seed))
+		draws, diff := matchDraws(s, r, 6)
+		if diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
+		}
+		if draws < 1300 {
+			t.Fatalf("seed %d: only %d draws compared", seed, draws)
+		}
+		var eager lagged
+		eager.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 2*lagLen; i++ {
+			if a, b := eager.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d: eagerly seeded draw %d is %d, want %d", seed, i, a, b)
+			}
+		}
+		reseed := seed ^ 0x5deece66d
+		s.Seed(reseed)
+		r.Seed(reseed)
+		if _, diff := matchDraws(s, r, 5); diff != "" {
+			t.Fatalf("seed %d reseeded to %d: %s", seed, reseed, diff)
+		}
+	}
+}
+
+// FuzzSourceMatchesMathRand compares Int63 draws from a fuzzed seed, then
+// after an in-place reseed, with math/rand's.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	f.Add(int64(0), uint16(400))
+	f.Add(int64(math.MinInt64), uint16(1))
+	f.Add(int64(1<<31-1), uint16(334))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		s, r := New(seed), rand.New(rand.NewSource(seed))
+		for round := 0; round < 2; round++ {
+			for i := 0; i < int(n)%2000; i++ {
+				if a, b := s.Int63(), r.Int63(); a != b {
+					t.Fatalf("seed %d round %d draw %d: %d, want %d", seed, round, i, a, b)
+				}
+			}
+			s.Seed(seed + int64(n))
+			r.Seed(seed + int64(n))
+		}
+	})
+}
+
+// BenchmarkNewPerm10 is a holdout split of one 10-record block from a
+// fresh seed, the build's most frequent use of a source: from a new
+// Source, from one reseeded in place (as the build's leaves draw), and
+// from a new math/rand source.
+func BenchmarkNewPerm10(b *testing.B) {
+	b.Run("new", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			permSink = New(int64(i)).Perm(10)
+		}
+	})
+	b.Run("reseed", func(b *testing.B) {
+		s := New(0)
+		for i := 0; i < b.N; i++ {
+			s.Seed(int64(i))
+			permSink = s.Perm(10)
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			permSink = rand.New(rand.NewSource(int64(i))).Perm(10)
+		}
+	})
+}
+
+// BenchmarkDraw times one Int63 from a source past its lazy seeding, and
+// the same draw from math/rand, which must cost the same.
+func BenchmarkDraw(b *testing.B) {
+	b.Run("rng", func(b *testing.B) {
+		s := New(1)
+		s.Perm(lazyDraws)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			drawSink = s.Int63()
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		r.Perm(lazyDraws)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			drawSink = r.Int63()
+		}
+	})
+}
+
+var (
+	permSink []int
+	drawSink int64
+)

@@ -17,8 +17,9 @@ import (
 // TestTrainAllocs pins the grower's allocations: beyond a small constant
 // (the grower, the Tree, an occasional scratch refill after a GC empties
 // the pool), only the grown nodes allocate — each its Node and Dist, and
-// each internal node its Children. Training from two merged orders holds
-// to the same ceiling: the merge writes into the grower's scratch lists.
+// each internal node its Children. Training from two merged orders, on a
+// view of the records, holds to the same ceiling: the grower reads the
+// view's records in place and the merge writes into its scratch lists.
 func TestTrainAllocs(t *testing.T) {
 	d := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 13, Noise: 0.1}), 2000)
 	l := &Learner{Opts: Options{Confidence: 1}}
@@ -47,8 +48,10 @@ func TestTrainAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := data.ViewOf(&data.Dataset{Schema: d.Schema, Records: d.Records[:split]}).
+		Concat(data.ViewOf(&data.Dataset{Schema: d.Schema, Records: d.Records[split:]}))
 	got = testing.AllocsPerRun(20, func() {
-		if _, err := l.TrainConcat(d, ox, oy); err != nil {
+		if _, err := l.TrainConcat(v, ox, oy); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -48,9 +48,9 @@ func sameTree(a, b *Node, path string) string {
 }
 
 // checkAgainstReference trains d with the production grower twice —
-// sorting d, and merging the orders of x = d[:split] and y = d[split:] —
-// and with the reference grower, and fails on the first node that
-// differs.
+// sorting d, and merging the orders of x = d[:split] and y = d[split:]
+// while reading the two parts as separate segments of a view — and with
+// the reference grower, and fails on the first node that differs.
 func checkAgainstReference(t *testing.T, d *data.Dataset, opts Options, split int) {
 	t.Helper()
 	ref := refTrain(d, opts)
@@ -63,13 +63,23 @@ func checkAgainstReference(t *testing.T, d *data.Dataset, opts Options, split in
 		t.Fatal(diff)
 	}
 	x, y := splitOrders(t, d, split)
-	c, err = l.TrainConcat(d, x, y)
+	c, err = l.TrainConcat(splitView(d, split), x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := sameTree(c.(*Tree).Root, ref, "root"); diff != "" {
 		t.Fatalf("TrainConcat at split %d: %s", split, diff)
 	}
+}
+
+// splitView returns a view of d's records whose parts d[:split] and
+// d[split:] are copies in separate arrays, so the grower reads two
+// segments whenever both are non-empty.
+func splitView(d *data.Dataset, split int) *data.View {
+	part := func(recs []data.Record) *data.View {
+		return data.ViewOf(&data.Dataset{Schema: d.Schema, Records: append([]data.Record(nil), recs...)})
+	}
+	return part(d.Records[:split]).Concat(part(d.Records[split:]))
 }
 
 // splitOrders returns the orders of d[:split] and d[split:].

@@ -3,7 +3,9 @@ package tree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"highorder/internal/classifier"
 	"highorder/internal/data"
@@ -24,9 +26,33 @@ type Order struct {
 	vals []float64
 }
 
-// newOrderBuf allocates an order of n records over cols numeric columns.
+// orderFree recycles the buffers of consumed orders (ConcatOrder), one
+// pool per size class: class c holds orders whose buffers have room for
+// 2^c entries, so any of them can serve a request of up to 2^c.
+var orderFree [bits.UintSize]sync.Pool
+
+// newOrderBuf returns an order of n records over cols numeric columns,
+// reusing a consumed order's buffers when one of the size class is free.
+// Fresh buffers are sized to the class, so they can serve it again.
 func newOrderBuf(n, cols int) *Order {
-	return &Order{n: n, cols: cols, pos: make([]int32, cols*n), vals: make([]float64, cols*n)}
+	m := n * cols
+	if m == 0 {
+		return &Order{n: n, cols: cols}
+	}
+	class := bits.Len(uint(m - 1))
+	if o, ok := orderFree[class].Get().(*Order); ok {
+		o.n, o.cols, o.pos, o.vals = n, cols, o.pos[:m], o.vals[:m]
+		return o
+	}
+	return &Order{n: n, cols: cols, pos: make([]int32, m, 1<<class), vals: make([]float64, m, 1<<class)}
+}
+
+// release files o's buffers for reuse by later orders; o must not be
+// read again.
+func (o *Order) release() {
+	if c := cap(o.pos); c > 0 {
+		orderFree[bits.Len(uint(c))-1].Put(o)
+	}
 }
 
 // Len returns the number of records the order covers.
@@ -83,7 +109,8 @@ func sortPairs(pairs []pair) { slices.SortFunc(pairs, cmpPair) }
 
 // ConcatOrder returns the order of x's records followed by y's: y's
 // positions shift by x.Len(). It is a linear merge per column and equals
-// NewOrder of the concatenation index for index.
+// NewOrder of the concatenation index for index. It consumes x and y:
+// their buffers back later orders, so neither may be used again.
 func ConcatOrder(x, y *Order) *Order {
 	o := newOrderBuf(x.n+y.n, x.cols)
 	for k := 0; k < o.cols; k++ {
@@ -92,6 +119,8 @@ func ConcatOrder(x, y *Order) *Order {
 		yp, yv := y.column(k)
 		mergeColumn(pos, vals, xp, xv, yp, yv, int32(x.n))
 	}
+	x.release()
+	y.release()
 	return o
 }
 
@@ -129,20 +158,20 @@ func (l *Learner) NewOrder(d *data.Dataset) (classifier.Order, error) {
 }
 
 // ConcatOrder implements classifier.OrderedLearner; x and y must come
-// from NewOrder or ConcatOrder.
+// from NewOrder or ConcatOrder, and are consumed.
 func (l *Learner) ConcatOrder(x, y classifier.Order) classifier.Order {
 	return ConcatOrder(x.(*Order), y.(*Order))
 }
 
-// TrainConcat grows and prunes the tree Train(d) would, where d holds x's
-// records followed by y's: it merges the two orders straight into the
-// grower's index lists instead of sorting d. It implements
-// classifier.OrderedLearner; x and y must come from NewOrder or
-// ConcatOrder over d's two parts.
-func (l *Learner) TrainConcat(d *data.Dataset, x, y classifier.Order) (classifier.Classifier, error) {
+// TrainConcat grows and prunes the tree Train would on v's records, which
+// are x's followed by y's: it reads them in place, segment by segment, and
+// merges the two orders straight into the grower's index lists instead of
+// sorting. It implements classifier.OrderedLearner; x and y must come from
+// NewOrder or ConcatOrder over v's two parts.
+func (l *Learner) TrainConcat(v *data.View, x, y classifier.Order) (classifier.Classifier, error) {
 	xo, yo := x.(*Order), y.(*Order)
-	if xo.n+yo.n != d.Len() {
-		return nil, fmt.Errorf("tree: orders cover %d+%d records, dataset has %d", xo.n, yo.n, d.Len()) //homlint:allow hotpathalloc -- error construction on the failure path only
+	if xo.n+yo.n != v.Len() {
+		return nil, fmt.Errorf("tree: orders cover %d+%d records, view has %d", xo.n, yo.n, v.Len()) //homlint:allow hotpathalloc -- error construction on the failure path only
 	}
-	return l.train(d, xo, yo)
+	return l.train(v.Schema(), v.Segments(), v.Len(), xo, yo)
 }

@@ -107,14 +107,11 @@ func fit[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-func (g *grower) xl2(n int) float64 { return g.xlog2x[n] }
-
-// newGrower lays d out in s's buffers: columns, classes, and one index
-// list per numeric attribute, which sortLists or mergeLists then fills.
-// It rejects NaN values, which have no place in a threshold order.
-func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
-	schema := d.Schema
-	n := d.Len()
+// newGrower lays the n records of segs, in order, out in s's buffers:
+// columns, classes, and one index list per numeric attribute, which
+// sortLists or mergeLists then fills. It rejects NaN values, which have no
+// place in a threshold order.
+func newGrower(schema *data.Schema, segs [][]data.Record, n int, opts Options, s *scratch) (*grower, error) {
 	na := len(schema.Attributes)
 	k := schema.NumClasses()
 	g := &grower{schema: schema, opts: opts, scratch: s}
@@ -144,18 +141,26 @@ func newGrower(d *data.Dataset, opts Options, s *scratch) (*grower, error) {
 	s.cands = fit(s.cands, na)
 	s.top = 0
 
-	for i, r := range d.Records {
-		s.classes[i] = int32(r.Class)
+	classes := s.classes
+	for _, seg := range segs {
+		for i, r := range seg {
+			classes[i] = int32(r.Class)
+		}
+		classes = classes[len(seg):]
 	}
 	list := 0
 	for a, attr := range schema.Attributes {
 		vals := s.colArena[a*n : (a+1)*n]
-		for i, r := range d.Records {
-			v := r.Values[a]
-			if math.IsNaN(v) {
-				return nil, nanError(schema, i, a)
+		col := vals
+		for _, seg := range segs {
+			for i, r := range seg {
+				v := r.Values[a]
+				if math.IsNaN(v) {
+					return nil, nanError(schema, n-len(col)+i, a)
+				}
+				col[i] = v
 			}
-			vals[i] = v
+			col = col[len(seg):]
 		}
 		s.cols[a] = vals
 		s.sorted[a] = nil
@@ -479,7 +484,10 @@ func (g *grower) nominalSplit(idx []int32, a int, baseEntropy float64) (candidat
 // between consecutive distinct values.
 func (g *grower) numericSplit(sorted []int32, a int, baseEntropy float64) (candidate, bool) {
 	total := len(sorted)
-	left, right := g.left, g.right
+	if total < 2 {
+		return candidate{}, false
+	}
+	classes, left, right := g.classes, g.left, g.right
 	clear(left)
 	clear(right)
 	// Incremental entropy bookkeeping: with SL = Σ_c left_c·log₂(left_c)
@@ -487,49 +495,54 @@ func (g *grower) numericSplit(sorted []int32, a int, baseEntropy float64) (candi
 	//   cond = (nL·log₂ nL − SL + nR·log₂ nR − SR) / total.
 	var sl, sr float64
 	for _, i := range sorted {
-		right[g.classes[i]]++
+		right[classes[i]]++
 	}
+	xl := g.xlog2x
 	for _, c := range right {
-		sr += g.xl2(c)
+		sr += xl[c]
 	}
 	ftotal := float64(total)
+	xlTotal := xl[total]
+	minLeaf := g.opts.MinLeaf
 	vals := g.cols[a]
-	xl := g.xlog2x
 	var best candidate
 	found := false
-	nLeft := 0
+	// v is the value at pos, carried over from the previous position's
+	// look-ahead.
+	v := vals[sorted[0]]
 	for pos := 0; pos < total-1; pos++ {
-		i := sorted[pos]
-		cls := g.classes[i]
-		sl += xl[left[cls]+1] - xl[left[cls]]
-		sr += xl[right[cls]-1] - xl[right[cls]]
-		left[cls]++
-		right[cls]--
-		nLeft++
-		v, vNext := vals[i], vals[sorted[pos+1]]
-		if v == vNext { //homlint:allow floatcmp -- thresholds may only fall between distinct sorted values; exact duplicate detection is the point
+		cls := classes[sorted[pos]]
+		nl, nr := left[cls], right[cls]
+		sl += xl[nl+1] - xl[nl]
+		sr += xl[nr-1] - xl[nr]
+		left[cls], right[cls] = nl+1, nr-1
+		nLeft := pos + 1
+		vCur := v
+		v = vals[sorted[pos+1]]
+		if vCur == v { //homlint:allow floatcmp -- thresholds may only fall between distinct sorted values; exact duplicate detection is the point
 			continue
 		}
 		nRight := total - nLeft
-		if nLeft < g.opts.MinLeaf || nRight < g.opts.MinLeaf {
+		if nLeft < minLeaf || nRight < minLeaf {
 			continue
 		}
-		cond := (g.xl2(nLeft) - sl + g.xl2(nRight) - sr) / ftotal
+		xlLeft, xlRight := xl[nLeft], xl[nRight]
+		cond := (xlLeft - sl + xlRight - sr) / ftotal
 		gain := baseEntropy - cond
 		if gain <= 1e-12 {
 			continue
 		}
-		splitH := (g.xl2(total) - g.xl2(nLeft) - g.xl2(nRight)) / ftotal
+		splitH := (xlTotal - xlLeft - xlRight) / ftotal
 		if splitH <= 0 {
 			continue
 		}
 		ratio := gain / splitH
 		if !found || ratio > best.gainRatio {
-			thr := v + (vNext-v)/2
+			thr := vCur + (v-vCur)/2
 			// Guard against midpoints that round back onto the upper value,
 			// and against -Inf endpoints, whose midpoint is NaN.
-			if thr >= vNext || math.IsNaN(thr) {
-				thr = v
+			if thr >= v || math.IsNaN(thr) {
+				thr = vCur
 			}
 			best = candidate{attr: a, threshold: thr, nLeft: nLeft, gain: gain, gainRatio: ratio}
 			found = true

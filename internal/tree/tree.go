@@ -52,20 +52,20 @@ func (l *Learner) Name() string { return "c4.5" }
 // Train grows and prunes a tree from d. It fails on an empty dataset and
 // on any NaN attribute value, naming the first such record and attribute.
 func (l *Learner) Train(d *data.Dataset) (classifier.Classifier, error) {
-	return l.train(d, nil, nil)
+	return l.train(d.Schema, [][]data.Record{d.Records}, d.Len(), nil, nil)
 }
 
-// train grows and prunes a tree from d. With x nil it sorts d's numeric
-// columns; otherwise d holds x's records followed by y's and the two
-// orders are merged instead.
-func (l *Learner) train(d *data.Dataset, x, y *Order) (classifier.Classifier, error) {
-	if d.Len() == 0 {
+// train grows and prunes a tree from the n records of segs, in order.
+// With x nil it sorts their numeric columns; otherwise they are x's
+// records followed by y's and the two orders are merged instead.
+func (l *Learner) train(schema *data.Schema, segs [][]data.Record, n int, x, y *Order) (classifier.Classifier, error) {
+	if n == 0 {
 		return nil, fmt.Errorf("tree: cannot train on empty dataset") //homlint:allow hotpathalloc -- error construction on the failure path only
 	}
 	opts := l.Opts.withDefaults()
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	g, err := newGrower(d, opts, s)
+	g, err := newGrower(schema, segs, n, opts, s)
 	if err != nil {
 		return nil, err
 	}
@@ -74,11 +74,11 @@ func (l *Learner) train(d *data.Dataset, x, y *Order) (classifier.Classifier, er
 	} else {
 		g.mergeLists(x, y)
 	}
-	root := g.grow(0, d.Len(), 0)
+	root := g.grow(0, n, 0)
 	if opts.Confidence < 1 {
 		prune(root, opts.Confidence)
 	}
-	return &Tree{Schema: d.Schema, Root: root, opts: opts}, nil
+	return &Tree{Schema: schema, Root: root, opts: opts}, nil
 }
 
 // Tree is a trained decision tree.

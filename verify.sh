@@ -4,9 +4,11 @@
 # Runs, in order: formatting, vet, build, the full test suite under the
 # race detector, the serving admission path repeated under it, the
 # allocation, heap, disk and records/s ceilings the race detector would
-# skew, the cross-engine identity of the merge loop, short
-# fuzz passes over the CSV parsers, the serving API decoder, the tree
-# grower, and the homlint directive grammar, the benchmark module's own
+# skew (one build's allocation among them), the cross-engine identity of
+# the merge loop, the build's determinism, model golden and random stream
+# at one and four Ps, short fuzz passes over the CSV parsers, the serving
+# API decoder, the tree grower, the random source against math/rand, and
+# the homlint directive grammar, the benchmark module's own
 # tests, a coverage floor on the fault-hardened serving packages, the
 # repository's own whole-module static-analysis suite (cmd/homlint,
 # checked against the committed baseline with a SARIF report written to
@@ -59,10 +61,12 @@ go test -race ./internal/serve -run 'Backpressure|LoadShed503|DeadlineExpiry|Wor
 # request decoder's constant allocations, and the zero-allocation hot
 # session lookup over a memory-only and a tiered store), the heap bound
 # per hot session (1 KiB, memory-only and tiered), the disk bound per
-# checkpointed cold session (256 B), and the benchmark smoke run without
-# it.
-step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/obs, internal/store, internal/serve incl. session lookup, heap per session and disk per cold session)"
+# checkpointed cold session (256 B), the allocation bound of one
+# core.Build of a 20,000-record SEA history (32 MB, at one and two
+# workers), and the benchmark smoke run without it.
+step "alloc ceilings (internal/cluster, internal/data, internal/tree, internal/core build, internal/obs, internal/store, internal/serve incl. session lookup, heap per session and disk per cold session)"
 go test ./internal/cluster ./internal/data ./internal/tree -run Allocs -count=1
+go test ./internal/core -run TestBuildAllocBound -count=1
 go test ./internal/obs -run Allocs -count=1
 go test ./internal/store -run Allocs -count=1
 go test ./internal/serve -run 'Allocs|HeapBound|DiskBound' -count=1
@@ -103,14 +107,16 @@ go test ./internal/cluster -run TestGoldenEquivalence -count=1
 # The build's pool hands work between goroutines that poll for it, and
 # step 2 trains a merger's model ahead beside the one it executes, so
 # which goroutine trains what depends on the scheduler. The merge
-# sequence, the work counts, the span tree, the persisted model and the
-# pool's own contract must not: run their tests with one P, where the
-# caller and the helpers take turns, and with four, besides the default
-# the full pass above ran with.
-step "build determinism at GOMAXPROCS=1 and 4 (internal/cluster, internal/core)"
+# sequence, the work counts, the span tree, the persisted model, the
+# committed model golden (testdata/model_golden.txt), the holdout
+# sources' stream (math/rand's, seeded lazily and reseeded in place from
+# a pool) and the pool's own contract must not: run their tests with one
+# P, where the caller and the helpers take turns, and with four, besides
+# the default the full pass above ran with.
+step "build determinism at GOMAXPROCS=1 and 4 (internal/cluster, internal/core, internal/rng)"
 for procs in 1 4; do
-	GOMAXPROCS=$procs go test ./internal/cluster ./internal/core -count=1 \
-		-run 'TestGoldenEquivalence|TestParallelMatchesSequential|TestPool|TestBuildSpanTreeDeterminism|TestBuildBytesIndependentOfWorkers'
+	GOMAXPROCS=$procs go test ./internal/cluster ./internal/core ./internal/rng -count=1 \
+		-run 'TestGoldenEquivalence|TestParallelMatchesSequential|TestPool|TestBuildSpanTreeDeterminism|TestBuildBytesIndependentOfWorkers|TestModelGolden|TestSourceMatchesMathRand'
 done
 
 step "bench smoke (-benchtime 1x)"
@@ -146,6 +152,12 @@ go test ./internal/compiled -run='^$' -fuzz='^FuzzCompiledVsInterpreted$' -fuzzt
 # equal a stable sort of the whole, index for index.
 step "fuzz tree grower vs reference (${FUZZTIME})"
 go test ./internal/tree -run='^$' -fuzz='^FuzzGrowerVsReference$' -fuzztime="$FUZZTIME"
+
+# rng.Source builds math/rand's state lazily, word by word, and reseeds
+# in place; its draws must be math/rand's for any seed and draw count,
+# before and after a reseed.
+step "fuzz random source vs math/rand (${FUZZTIME})"
+go test ./internal/rng -run='^$' -fuzz='^FuzzSourceMatchesMathRand$' -fuzztime="$FUZZTIME"
 
 step "fuzz homlint directive grammar (${FUZZTIME})"
 go test ./internal/analysis -run='^$' -fuzz='^FuzzParseDirective$' -fuzztime="$FUZZTIME"
