@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -60,26 +59,6 @@ func (r *replicaFlags) Set(v string) error {
 	}
 	*r = append(*r, struct{ id, url string }{id, url})
 	return nil
-}
-
-// parseMinMax parses "min:max" autoscale bounds.
-func parseMinMax(v string) (int, int, error) {
-	lo, hi, ok := strings.Cut(v, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("autoscale bounds %q: want min:max", v)
-	}
-	minR, err := strconv.Atoi(lo)
-	if err != nil {
-		return 0, 0, fmt.Errorf("autoscale min %q: %w", lo, err)
-	}
-	maxR, err := strconv.Atoi(hi)
-	if err != nil {
-		return 0, 0, fmt.Errorf("autoscale max %q: %w", hi, err)
-	}
-	if minR < 1 || maxR < minR {
-		return 0, 0, fmt.Errorf("autoscale bounds %d:%d: want 1 <= min <= max", minR, maxR)
-	}
-	return minR, maxR, nil
 }
 
 func main() {
@@ -172,7 +151,7 @@ func main() {
 	go g.HealthLoop(ctx.Done())
 
 	if *autoscale != "" {
-		minR, maxR, err := parseMinMax(*autoscale)
+		minR, maxR, err := gate.ParseBounds(*autoscale)
 		if err != nil {
 			fail(err)
 		}

@@ -1,10 +1,11 @@
 // Command homlint runs the repository's whole-module static-analysis
-// engine (internal/analysis) — determinism, seed plumbing, float
-// comparison, sync misuse, lock ordering, hot-path allocations, snapshot
+// engine (internal/analysis) — determinism (global math/rand, wall-clock
+// reads, pid seeds, map order), float comparison, span ends, trace
+// contexts, sleep loops, lock ordering, hot-path allocations, snapshot
 // compatibility, and dropped errors — and exits 1 when any finding
-// survives suppression directives and the baseline, so it can gate CI:
+// survives its suppression directives, so it can gate CI:
 //
-//	go run ./cmd/homlint -baseline lint/baseline.json ./...
+//	go run ./cmd/homlint ./...
 //
 // Usage:
 //
@@ -13,30 +14,23 @@
 // A package argument is a directory (analyzed alone), or a directory
 // suffixed with /... to load as a whole module tree with full
 // cross-package type information, the call graph, and the module
-// analyzers. With no arguments, ./... is assumed.
+// analyzers. With no arguments, ./... is assumed. Findings go to stdout,
+// one per line; a justified exception is a
+// `//homlint:allow <analyzer> -- <reason>` directive next to its code.
 //
 // Flags:
 //
-//	-list                 list analyzers and exit
-//	-enable a,b           restrict the suite to the named analyzers
-//	-json                 emit findings as JSON instead of text
-//	-sarif FILE           additionally write a SARIF 2.1.0 report to FILE
-//	-baseline FILE        tolerate findings recorded in FILE; only new ones fail
-//	-write-baseline FILE  write current findings to FILE and exit 0
-//	-fix                  apply mechanical fixes (errdrop `_ =`, fingerprint refresh)
-//	-workers N            package-analysis parallelism (0 = one per package)
-//	-v                    print per-analyzer timings to stderr
+//	-list       list analyzers and exit
+//	-enable a,b restrict the suite to the named analyzers
+//	-fix        apply mechanical fixes (errdrop `_ =`, fingerprint refresh)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"highorder/internal/analysis"
 )
@@ -50,13 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	enable := fs.String("enable", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 report to this file")
-	baselinePath := fs.String("baseline", "", "baseline file; findings recorded there are tolerated")
-	writeBaseline := fs.String("write-baseline", "", "write current findings as a baseline to this file and exit")
 	fix := fs.Bool("fix", false, "apply mechanical fixes")
-	workers := fs.Int("workers", 0, "package-analysis parallelism (0 = one worker per package)")
-	verbose := fs.Bool("v", false, "print per-analyzer timings to stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,12 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targets = []string{"./..."}
 	}
 
-	var (
-		diags   []analysis.Diagnostic
-		timings = map[string]*analysis.AnalyzerTiming{}
-		order   []string
-		root    string
-	)
+	var diags []analysis.Diagnostic
 	for _, t := range targets {
 		loader := analysis.NewLoader()
 		var (
@@ -107,28 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		if root == "" {
-			root = prog.Root
-		}
-		res := prog.Run(analyzers, analysis.RunOptions{Workers: *workers})
-		diags = append(diags, res.Diagnostics...)
-		for _, tm := range res.Timings {
-			agg, ok := timings[tm.Analyzer]
-			if !ok {
-				agg = &analysis.AnalyzerTiming{Analyzer: tm.Analyzer}
-				timings[tm.Analyzer] = agg
-				order = append(order, tm.Analyzer)
-			}
-			agg.Duration += tm.Duration
-			agg.Findings += tm.Findings
-		}
-	}
-
-	if *verbose {
-		for _, name := range order {
-			tm := timings[name]
-			fmt.Fprintf(stderr, "homlint: %-20s %10v  %d finding(s)\n", tm.Analyzer, tm.Duration.Round(10*time.Microsecond), tm.Findings)
-		}
+		diags = append(diags, prog.Run(analyzers)...)
 	}
 
 	if *fix {
@@ -143,89 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = rest
 	}
 
-	if *writeBaseline != "" {
-		b := analysis.NewBaseline(diags, root, "baselined; audit and burn down")
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		defer f.Close()
-		if err := b.Encode(f); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "homlint: wrote %d baseline entr(ies) to %s\n", len(b.Entries), *writeBaseline)
-		return 0
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
-
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fresh, stale := b.Filter(diags, root)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "homlint: stale baseline entry (no longer found): %s [%s] %s\n", e.File, e.Analyzer, e.Message)
-		}
-		diags = fresh
-	}
-
-	if *sarifPath != "" {
-		if dir := filepath.Dir(*sarifPath); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-		}
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		err = analysis.WriteSARIF(f, diags, root)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-
-	if *jsonOut {
-		type jsonDiag struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-			HasFix   bool   `json:"hasFix,omitempty"`
-		}
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:     analysis.RelPath(root, d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-				HasFix:   d.Fix != nil,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-	}
-
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "homlint: %d finding(s)\n", len(diags))
 		return 1

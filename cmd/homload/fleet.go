@@ -11,13 +11,10 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,20 +36,6 @@ type fleetOptions struct {
 	scaleInterval time.Duration
 	serviceDelay  time.Duration
 	flightDir     string // write per-process flight dumps here (empty = off)
-}
-
-// parseBounds parses "min:max" autoscale bounds.
-func parseBounds(v string) (int, int, error) {
-	lo, hi, ok := strings.Cut(v, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("autoscale bounds %q: want min:max", v)
-	}
-	minR, err1 := strconv.Atoi(lo)
-	maxR, err2 := strconv.Atoi(hi)
-	if err1 != nil || err2 != nil || minR < 1 || maxR < minR {
-		return 0, 0, fmt.Errorf("autoscale bounds %q: want 1 <= min <= max", v)
-	}
-	return minR, maxR, nil
 }
 
 // gateSummary is the fleet summary's gateway section, scraped from the
@@ -178,7 +161,7 @@ func runFleet(clk clock.Clock, slp clock.Sleeper, m *core.Model, w workload, opt
 	maxReplicas := fo.replicas
 	scaleMin := 0
 	if fo.autoscale != "" {
-		minR, maxR, err := parseBounds(fo.autoscale)
+		minR, maxR, err := gate.ParseBounds(fo.autoscale)
 		if err != nil {
 			return nil, err
 		}

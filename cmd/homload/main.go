@@ -57,6 +57,7 @@ import (
 	"highorder/internal/core"
 	"highorder/internal/data"
 	"highorder/internal/dataio"
+	"highorder/internal/gate"
 	"highorder/internal/obs"
 	"highorder/internal/rng"
 	"highorder/internal/serve"
@@ -151,7 +152,7 @@ func main() {
 		if fo.autoscale != "" {
 			// The autoscaler owns capacity: start from the lower bound and
 			// let the load grow the fleet.
-			minR, _, err := parseBounds(fo.autoscale)
+			minR, _, err := gate.ParseBounds(fo.autoscale)
 			if err != nil {
 				fail(err)
 			}

@@ -4,26 +4,25 @@
 // transition estimation, active-probability tracking — is only reproducible
 // when every stage is bit-for-bit deterministic under a seed, so the things
 // Go makes easy to get wrong silently (global math/rand state, wall-clock
-// reads, map-iteration order, lock-order inversions, hot-path allocations,
-// silent snapshot-format drift) are checked mechanically by
-// `go run ./cmd/homlint ./...` rather than by convention; copied locks are
-// left to `go vet`'s copylocks check.
+// reads, process-id seeds, map-iteration order, lock-order inversions,
+// hot-path allocations, silent snapshot-format drift) are checked
+// mechanically by `go run ./cmd/homlint ./...` rather than by convention;
+// copied locks are left to `go vet`'s copylocks check.
 //
-// The v2 engine is whole-module and flow-aware. A Loader checks every
-// package of the module in dependency order, so intra-module imports carry
-// complete type information; the Program ties the checked packages to a
-// static call graph (callgraph.go) and a cross-package fact store
-// (facts.go). Per-package analyzers run in parallel across packages and
-// export facts; module analyzers join afterwards, propagating findings
-// across function and package boundaries (lock-order cycles, hot-path
-// reachability, the gob snapshot fingerprint).
+// The engine is whole-module and flow-aware. A Loader checks every package
+// of the module in dependency order, so intra-module imports carry complete
+// type information; the Program ties the checked packages to a static call
+// graph (callgraph.go) and a cross-package fact store (facts.go).
+// Program.Run runs the per-package analyzers over every pass in order,
+// where they report findings and export facts; module analyzers then join,
+// propagating findings across function and package boundaries (lock-order
+// cycles, hot-path reachability, the gob snapshot fingerprint).
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools/go/
 // analysis without depending on it: an Analyzer runs over one package Pass
 // and reports position-tagged Diagnostics; a ModuleAnalyzer additionally
-// joins over the whole Program. Findings are suppressed with
-// `//homlint:allow <analyzer> -- reason` directives (see directives.go) or
-// recorded in an auditable baseline file (baseline.go).
+// joins over the whole Program. A finding is suppressed, next to its code,
+// by a `//homlint:allow <analyzer> -- reason` directive (see directives.go).
 package analysis
 
 import (
@@ -32,10 +31,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"sync"
-	"time"
-
-	"highorder/internal/clock"
 )
 
 // Diagnostic is one finding, anchored to a source position.
@@ -76,8 +71,8 @@ type Analyzer interface {
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc() string
 	// Run inspects the pass and reports findings via pass.Report. For a
-	// ModuleAnalyzer this is the parallel per-package phase, which
-	// typically exports facts rather than reporting.
+	// ModuleAnalyzer this is the per-package phase, which typically exports
+	// facts rather than reporting.
 	Run(pass *Pass)
 }
 
@@ -185,164 +180,53 @@ type Program struct {
 	// Facts is the cross-package fact store.
 	Facts *FactStore
 
-	graphOnce sync.Once
-	graph     *CallGraph
+	graph *CallGraph
 }
 
 // Graph returns the program's call graph, building it on first use.
 func (prog *Program) Graph() *CallGraph {
-	prog.graphOnce.Do(func() { prog.graph = buildCallGraph(prog) })
+	if prog.graph == nil {
+		prog.graph = buildCallGraph(prog)
+	}
 	return prog.graph
 }
 
-// AnalyzerTiming is one analyzer's accumulated wall time across the run.
-type AnalyzerTiming struct {
-	Analyzer string
-	Duration time.Duration
-	Findings int
-}
-
-// RunOptions tune a program-wide analysis run.
-type RunOptions struct {
-	// Workers bounds the per-package parallelism; <= 0 selects the number
-	// of passes (fully parallel, the scheduler's cap applies anyway).
-	Workers int
-	// Clock supplies per-analyzer timing; nil selects the wall clock.
-	Clock clock.Clock
-}
-
-// Result is the outcome of a program-wide run.
-type Result struct {
-	// Diagnostics are the findings surviving suppression directives,
-	// sorted by position.
-	Diagnostics []Diagnostic
-	// Timings is the per-analyzer accumulated wall time, in suite order.
-	Timings []AnalyzerTiming
-}
-
-// Run executes the analyzers over every pass of the program — packages in
-// parallel — then runs each ModuleAnalyzer's join, and returns the
-// diagnostics surviving suppression directives, sorted by position.
-// Malformed suppression directives are themselves reported. The output is
-// deterministic for any worker count.
-func (prog *Program) Run(analyzers []Analyzer, opts RunOptions) Result {
-	clk := opts.Clock.OrWall()
-	workers := opts.Workers
-	if workers <= 0 || workers > len(prog.Passes) {
-		workers = len(prog.Passes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		mu      sync.Mutex
-		timings = map[string]*AnalyzerTiming{}
-		sups    = make([]*suppressions, len(prog.Passes))
-		perPass = make([][]Diagnostic, len(prog.Passes))
-	)
-	addTime := func(name string, d time.Duration, findings int) {
-		mu.Lock()
-		t, ok := timings[name]
-		if !ok {
-			t = &AnalyzerTiming{Analyzer: name}
-			timings[name] = t
+// Run executes the analyzers over every pass of the program in order, then
+// runs each ModuleAnalyzer's join, and returns the findings that survive
+// suppression directives, sorted by position. Malformed directives are
+// reported under the name "directives", whichever analyzers run. A
+// test-augmented pass keeps only the findings in its test files; the
+// canonical pass reports the rest.
+func (prog *Program) Run(analyzers []Analyzer) []Diagnostic {
+	sup := collectDirectives(prog)
+	out := sup.malformed
+	report := func(d Diagnostic) {
+		if !sup.allows(d) {
+			out = append(out, d)
 		}
-		t.Duration += d
-		t.Findings += findings
-		mu.Unlock()
 	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pass := prog.Passes[i]
-				sups[i] = collectDirectives(pass)
-				var out []Diagnostic
-				for _, a := range analyzers {
-					pass.analyzer = a.Name()
-					pass.diags = pass.diags[:0]
-					start := clk()
-					a.Run(pass)
-					kept := 0
-					for _, d := range pass.diags {
-						if pass.testOnly && !isTestFile(pass, d.Pos.Filename) {
-							continue
-						}
-						if !sups[i].allows(d) {
-							out = append(out, d)
-							kept++
-						}
-					}
-					addTime(a.Name(), clk().Sub(start), kept)
+	for _, pass := range prog.Passes {
+		for _, a := range analyzers {
+			pass.analyzer = a.Name()
+			pass.diags = pass.diags[:0]
+			a.Run(pass)
+			for _, d := range pass.diags {
+				if !pass.testOnly || isTestFile(pass, d.Pos.Filename) {
+					report(d)
 				}
-				for _, d := range sups[i].malformed {
-					if pass.testOnly && !isTestFile(pass, d.Pos.Filename) {
-						continue
-					}
-					out = append(out, d)
-				}
-				perPass[i] = out
-			}
-		}()
-	}
-	for i := range prog.Passes {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Malformed-directive findings from test-augmented passes duplicate the
-	// canonical pass for non-test files; the dedup below handles them.
-	var out []Diagnostic
-	for _, ds := range perPass {
-		out = append(out, ds...)
-	}
-
-	// Module joins: suppression is checked against the directives of every
-	// pass, keyed by the diagnostic's file.
-	allows := func(d Diagnostic) bool {
-		for _, s := range sups {
-			if s != nil && s.allows(d) {
-				return true
 			}
 		}
-		return false
 	}
 	for _, a := range analyzers {
-		ma, ok := a.(ModuleAnalyzer)
-		if !ok {
-			continue
+		if ma, ok := a.(ModuleAnalyzer); ok {
+			ma.Join(prog, func(d Diagnostic) {
+				d.Analyzer = ma.Name()
+				report(d)
+			})
 		}
-		start := clk()
-		kept := 0
-		ma.Join(prog, func(d Diagnostic) {
-			d.Analyzer = ma.Name()
-			if !allows(d) {
-				out = append(out, d)
-				kept++
-			}
-		})
-		addTime(a.Name()+"(join)", clk().Sub(start), kept)
 	}
-
 	sortDiagnostics(out)
-	out = dedupDiagnostics(out)
-
-	res := Result{Diagnostics: out}
-	order := append([]Analyzer(nil), analyzers...)
-	for _, a := range order {
-		for _, key := range []string{a.Name(), a.Name() + "(join)"} {
-			if t, ok := timings[key]; ok {
-				res.Timings = append(res.Timings, *t)
-			}
-		}
-	}
-	return res
+	return out
 }
 
 func isTestFile(pass *Pass, filename string) bool {
@@ -396,29 +280,8 @@ func IsPkgCall(call *ast.CallExpr, pkgName, fn string) (*ast.SelectorExpr, bool)
 	return sel, true
 }
 
-// Run executes the analyzers over a single pass and returns the
-// diagnostics that survive suppression directives, sorted by position. It
-// is the single-package entry point (fixture tests); ModuleAnalyzer joins
-// do not run — use Program.Run for those.
-func Run(pass *Pass, analyzers []Analyzer) []Diagnostic {
-	sup := collectDirectives(pass)
-	var out []Diagnostic
-	for _, a := range analyzers {
-		pass.analyzer = a.Name()
-		pass.diags = pass.diags[:0]
-		a.Run(pass)
-		for _, d := range pass.diags {
-			if !sup.allows(d) {
-				out = append(out, d)
-			}
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// sortDiagnostics orders diagnostics by file, line, column, analyzer so
-// output is deterministic across runs and worker orderings.
+// sortDiagnostics orders diagnostics by file, line, column, analyzer and
+// message, so output is deterministic.
 func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
@@ -438,29 +301,10 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// dedupDiagnostics removes exact duplicates from a sorted slice — the
-// test-augmented pass of a package re-reports malformed directives of
-// non-test files, and suppressed/unsuppressed boundaries can otherwise
-// double findings at one position.
-func dedupDiagnostics(ds []Diagnostic) []Diagnostic {
-	out := ds[:0]
-	for i, d := range ds {
-		if i > 0 {
-			p := ds[i-1]
-			if p.Pos == d.Pos && p.Analyzer == d.Analyzer && p.Message == d.Message {
-				continue
-			}
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 // All returns the full analyzer suite in stable order.
 func All() []Analyzer {
 	return []Analyzer{
 		&Determinism{},
-		&SeedPlumb{},
 		&FloatCmp{},
 		&SpanEnd{},
 		&TraceCtx{},

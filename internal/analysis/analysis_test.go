@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/token"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -16,7 +17,8 @@ type want struct {
 	substr   string
 }
 
-func loadFixture(t *testing.T, name string) *Pass {
+// loadFixture loads testdata/name as the CLI loads a directory argument.
+func loadFixture(t *testing.T, name string) *Program {
 	t.Helper()
 	prog, err := NewLoader().LoadDir(filepath.Join("testdata", name))
 	if err != nil {
@@ -25,29 +27,37 @@ func loadFixture(t *testing.T, name string) *Pass {
 	if len(prog.Passes) == 0 {
 		t.Fatalf("fixture %s: no passes", name)
 	}
-	// A fixture with in-package test files yields a canonical pass plus a
-	// test-augmented one; the augmented pass holds every file, which is
-	// what the single-pass harness wants.
-	best := prog.Passes[0]
-	for _, p := range prog.Passes[1:] {
-		if len(p.Files) > len(best.Files) {
-			best = p
-		}
-	}
-	return best
+	return prog
 }
 
-func parseWants(t *testing.T, pass *Pass) []want {
+// progWants parses the want annotations of every file of the program,
+// once each, although several passes may hold a file.
+func progWants(t *testing.T, prog *Program) []want {
+	t.Helper()
+	var files []*File
+	seen := map[string]bool{}
+	for _, pass := range prog.Passes {
+		for _, f := range pass.Files {
+			if !seen[f.Path] {
+				seen[f.Path] = true
+				files = append(files, f)
+			}
+		}
+	}
+	return parseWants(t, prog.Fset, files)
+}
+
+func parseWants(t *testing.T, fset *token.FileSet, files []*File) []want {
 	t.Helper()
 	var out []want
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, cg := range f.AST.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}
-				pos := pass.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				rest := strings.TrimSpace(strings.TrimPrefix(text, "want "))
 				parts := strings.SplitN(rest, " ", 2)
 				w := want{file: pos.Filename, line: pos.Line, analyzer: parts[0]}
@@ -95,15 +105,17 @@ func matchWants(t *testing.T, diags []Diagnostic, wants []want) {
 }
 
 // TestAnalyzersOnFixtures runs each analyzer over its violation fixture
-// and requires an exact match between reported diagnostics and the
-// fixture's want annotations — no misses, no extras.
+// through Program.Run, as the CLI does for a directory argument, and
+// requires an exact match between reported diagnostics and the fixture's
+// want annotations — no misses, no extras. The seedplumb fixture holds the
+// seed-plumbing cases of determinism's seed rule.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		fixture   string
 		analyzers []string
 	}{
 		{"determinism", []string{"determinism"}},
-		{"seedplumb", []string{"seedplumb"}},
+		{"seedplumb", []string{"determinism"}},
 		{"floatcmp", []string{"floatcmp"}},
 		{"spanend", []string{"spanend"}},
 		{"tracectx", []string{"tracectx"}},
@@ -111,42 +123,33 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			pass := loadFixture(t, tc.fixture)
+			prog := loadFixture(t, tc.fixture)
 			analyzers, err := ByName(tc.analyzers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags := Run(pass, analyzers)
-			wants := parseWants(t, pass)
+			wants := progWants(t, prog)
 			if len(wants) == 0 {
 				t.Fatalf("fixture %s has no want annotations", tc.fixture)
 			}
-			matchWants(t, diags, wants)
+			matchWants(t, prog.Run(analyzers), wants)
 		})
 	}
 }
 
 // TestSuppression runs the full suite over the suppress fixture, all of
-// whose violations carry line-, function-, or file-scope directives.
+// whose violations carry well-formed line-, function-, or file-scope
+// directives.
 func TestSuppression(t *testing.T) {
-	pass := loadFixture(t, "suppress")
-	if diags := Run(pass, All()); len(diags) != 0 {
-		for _, d := range diags {
-			t.Errorf("suppressed violation still reported: %s", d)
-		}
-	}
-	if bad := CheckDirectives(pass); len(bad) != 0 {
-		for _, d := range bad {
-			t.Errorf("well-formed directive reported as malformed: %s", d)
-		}
+	for _, d := range loadFixture(t, "suppress").Run(All()) {
+		t.Errorf("suppressed violation or well-formed directive reported: %s", d)
 	}
 }
 
 // TestMalformedDirectives checks that directives that fail to parse are
 // surfaced rather than silently ignored.
 func TestMalformedDirectives(t *testing.T) {
-	pass := loadFixture(t, "directives")
-	bad := CheckDirectives(pass)
+	bad := loadFixture(t, "directives").Run(All())
 	if len(bad) != 3 {
 		t.Fatalf("want 3 malformed directives, got %d: %v", len(bad), bad)
 	}
@@ -176,9 +179,8 @@ func TestByName(t *testing.T) {
 }
 
 func TestDiagnosticString(t *testing.T) {
-	pass := loadFixture(t, "floatcmp")
 	analyzers, _ := ByName([]string{"floatcmp"})
-	diags := Run(pass, analyzers)
+	diags := loadFixture(t, "floatcmp").Run(analyzers)
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
 	}

@@ -8,7 +8,7 @@ import (
 
 // Determinism enforces the repository's seed-reproducibility contract
 // (DESIGN.md, paper §II): every experiment must be bit-for-bit identical
-// given a seed. Three classes of silent nondeterminism are flagged:
+// given a seed. Five classes of silent nondeterminism are flagged:
 //
 //  1. Calls to math/rand package-level functions that draw from the global
 //     source (rand.Intn, rand.Float64, rand.Shuffle, ...). Constructors
@@ -18,12 +18,17 @@ import (
 //  2. Calls to time.Now (and time.Since, which reads the wall clock).
 //     Timing code must draw from an injectable clock (internal/clock) so
 //     measured runs are mockable; the clock package itself carries the one
-//     sanctioned //homlint:allow.
-//  3. Ranging over a map while appending to a slice declared outside the
+//     sanctioned //homlint:allow. This also covers a time-derived seed,
+//     rand.NewSource(time.Now().UnixNano()).
+//  3. A random source seeded from the process id: the seed argument of
+//     math/rand.NewSource or Seed, or of rng.New, reads os.Getpid or
+//     os.Getppid. Such a seed differs on every run. Other uses of the pid,
+//     such as a unique directory name, stay legal.
+//  4. Ranging over a map while appending to a slice declared outside the
 //     loop, without a subsequent sort in the same function. Map iteration
 //     order is randomized by the runtime, so such accumulation leaks
 //     nondeterministic order into results or output.
-//  4. Ranging over a map while pushing into a heap or queue (any call to a
+//  5. Ranging over a map while pushing into a heap or queue (any call to a
 //     function or method named push/Push inside the loop body). Heap pop
 //     order is only independent of push order when the comparator is a
 //     total order, which the analyzer cannot prove; iterate an ordered
@@ -35,7 +40,7 @@ func (*Determinism) Name() string { return "determinism" }
 
 // Doc implements Analyzer.
 func (*Determinism) Doc() string {
-	return "flags global math/rand use, wall-clock reads, unsorted map-iteration accumulation, and heap pushes from map iteration"
+	return "flags global math/rand use, wall-clock reads, pid-seeded random sources, unsorted map-iteration accumulation, and heap pushes from map iteration"
 }
 
 // globalRandAllowed lists the math/rand package-level identifiers that do
@@ -56,6 +61,8 @@ func (d *Determinism) Run(pass *Pass) {
 		randName := ImportName(f.AST, "math/rand")
 		randV2 := ImportName(f.AST, "math/rand/v2")
 		timeName := ImportName(f.AST, "time")
+		rngName := ImportName(f.AST, "highorder/internal/rng")
+		osName := ImportName(f.AST, "os")
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -86,10 +93,35 @@ func (d *Determinism) Run(pass *Pass) {
 					pass.Report(sel.Pos(), "call to time.%s: inject a clock.Clock (internal/clock) so timing is mockable and deterministic in tests", sel.Sel.Name)
 				}
 			}
+			seeds := (id.Name == randName && randName != "" && (sel.Sel.Name == "NewSource" || sel.Sel.Name == "Seed")) ||
+				(id.Name == rngName && rngName != "" && sel.Sel.Name == "New")
+			if seeds && len(call.Args) > 0 {
+				if pid := pidRead(call.Args[0], osName); pid != "" {
+					pass.Report(call.Args[0].Pos(), "%s.%s seeded from os.%s: plumb the seed from configuration so runs are reproducible", id.Name, sel.Sel.Name, pid)
+				}
+			}
 			return true
 		})
 		d.checkMapOrder(pass, f)
 	}
+}
+
+// pidRead returns "Getpid" or "Getppid" when expr calls that function of
+// the os package imported as osName, or "" when it calls neither.
+func pidRead(expr ast.Expr, osName string) string {
+	if osName == "" {
+		return ""
+	}
+	found := ""
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == osName && (sel.Sel.Name == "Getpid" || sel.Sel.Name == "Getppid") {
+				found = sel.Sel.Name
+			}
+		}
+		return found == ""
+	})
+	return found
 }
 
 // checkMapOrder flags `for k := range m { out = append(out, ...) }` where m

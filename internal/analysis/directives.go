@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
@@ -15,8 +16,9 @@ import (
 // A line-scope directive suppresses findings of <analyzer> on its own line
 // or the line immediately below it (so it can trail the offending code or
 // sit on its own line above). <analyzer> may be "all". The "-- reason" tail
-// is required: an unexplained suppression is itself reported by the runner
-// via CheckDirectives.
+// is required: Program.Run reports an unexplained suppression, or any other
+// directive that does not parse, as a finding of its own under the name
+// "directives".
 //
 // One marker directive exists besides the allow family:
 //
@@ -35,9 +37,9 @@ type suppressions struct {
 	// lineAllow maps filename -> line -> analyzer set. A directive at line L
 	// registers L and L+1.
 	lineAllow map[string]map[int]map[string]bool
-	// malformed collects directives that did not parse; surfaced by
-	// CheckDirectives so typos fail loudly instead of silently not
-	// suppressing (or worse, appearing to pass because the code was fixed).
+	// malformed collects directives that did not parse; Program.Run reports
+	// them so typos fail loudly instead of silently not suppressing (or
+	// worse, appearing to pass because the code was fixed).
 	malformed []Diagnostic
 }
 
@@ -102,88 +104,81 @@ func HasHotPathDirective(doc *ast.CommentGroup) bool {
 	return false
 }
 
-// collectDirectives gathers every homlint directive in the pass.
-func collectDirectives(pass *Pass) *suppressions {
+// collectDirectives gathers every homlint directive in the program, reading
+// each file once although several passes may hold it.
+func collectDirectives(prog *Program) *suppressions {
 	s := &suppressions{
 		fileAllow: map[string]map[string]bool{},
 		lineAllow: map[string]map[int]map[string]bool{},
 	}
-	addLine := func(file string, line int, analyzer string) {
-		if s.lineAllow[file] == nil {
-			s.lineAllow[file] = map[int]map[string]bool{}
-		}
-		for _, l := range [2]int{line, line + 1} {
-			if s.lineAllow[file][l] == nil {
-				s.lineAllow[file][l] = map[string]bool{}
-			}
-			s.lineAllow[file][l][analyzer] = true
-		}
-	}
-	addRange := func(file string, from, to int, analyzer string) {
-		if s.lineAllow[file] == nil {
-			s.lineAllow[file] = map[int]map[string]bool{}
-		}
-		for l := from; l <= to; l++ {
-			if s.lineAllow[file][l] == nil {
-				s.lineAllow[file][l] = map[string]bool{}
-			}
-			s.lineAllow[file][l][analyzer] = true
-		}
-	}
-
-	for _, f := range pass.Files {
-		// Function-scope directives live in doc comments; map them to the
-		// declaration's full line range.
-		funcRange := map[*ast.CommentGroup][2]int{}
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			from := pass.Fset.Position(fd.Pos()).Line
-			to := pass.Fset.Position(fd.End()).Line
-			funcRange[fd.Doc] = [2]int{from, to}
-		}
-		for _, cg := range f.AST.Comments {
-			for _, c := range cg.List {
-				kind, analyzer, _, ok, malformed := parseDirective(c.Text)
-				if !ok {
-					continue
-				}
-				pos := pass.Fset.Position(c.Pos())
-				if malformed {
-					s.malformed = append(s.malformed, Diagnostic{
-						Pos:      pos,
-						Analyzer: "directives",
-						Message:  "malformed homlint directive; want //homlint:(allow|func-allow|file-allow) <analyzer> -- <reason> or //homlint:hotpath",
-					})
-					continue
-				}
-				switch kind {
-				case "file-allow":
-					if s.fileAllow[pos.Filename] == nil {
-						s.fileAllow[pos.Filename] = map[string]bool{}
-					}
-					s.fileAllow[pos.Filename][analyzer] = true
-				case "func-allow":
-					if r, ok := funcRange[cg]; ok {
-						addRange(pos.Filename, r[0], r[1], analyzer)
-					} else {
-						// Not a function doc comment: degrade to line scope.
-						addLine(pos.Filename, pos.Line, analyzer)
-					}
-				case "allow":
-					addLine(pos.Filename, pos.Line, analyzer)
-				}
+	seen := map[string]bool{}
+	for _, pass := range prog.Passes {
+		for _, f := range pass.Files {
+			if !seen[f.Path] {
+				seen[f.Path] = true
+				s.addFile(prog.Fset, f)
 			}
 		}
 	}
 	return s
 }
 
-// CheckDirectives returns a diagnostic for every malformed homlint
-// directive in the pass, so suppressions that would silently fail to apply
-// are reported as findings in their own right.
-func CheckDirectives(pass *Pass) []Diagnostic {
-	return collectDirectives(pass).malformed
+// addFile registers the directives of one file.
+func (s *suppressions) addFile(fset *token.FileSet, f *File) {
+	// Function-scope directives live in doc comments; map them to the
+	// declaration's full line range.
+	funcRange := map[*ast.CommentGroup][2]int{}
+	for _, decl := range f.AST.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Doc == nil {
+			continue
+		}
+		funcRange[fd.Doc] = [2]int{fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line}
+	}
+	for _, cg := range f.AST.Comments {
+		for _, c := range cg.List {
+			kind, analyzer, _, ok, malformed := parseDirective(c.Text)
+			if !ok {
+				continue
+			}
+			pos := fset.Position(c.Pos())
+			if malformed {
+				s.malformed = append(s.malformed, Diagnostic{
+					Pos:      pos,
+					Analyzer: "directives",
+					Message:  "malformed homlint directive; want //homlint:(allow|func-allow|file-allow) <analyzer> -- <reason> or //homlint:hotpath",
+				})
+				continue
+			}
+			switch kind {
+			case "file-allow":
+				if s.fileAllow[pos.Filename] == nil {
+					s.fileAllow[pos.Filename] = map[string]bool{}
+				}
+				s.fileAllow[pos.Filename][analyzer] = true
+			case "func-allow":
+				if r, ok := funcRange[cg]; ok {
+					s.allowLines(pos.Filename, r[0], r[1], analyzer)
+				} else {
+					// Not a function doc comment: degrade to line scope.
+					s.allowLines(pos.Filename, pos.Line, pos.Line+1, analyzer)
+				}
+			case "allow":
+				s.allowLines(pos.Filename, pos.Line, pos.Line+1, analyzer)
+			}
+		}
+	}
+}
+
+// allowLines suppresses analyzer on lines from through to of file.
+func (s *suppressions) allowLines(file string, from, to int, analyzer string) {
+	if s.lineAllow[file] == nil {
+		s.lineAllow[file] = map[int]map[string]bool{}
+	}
+	for l := from; l <= to; l++ {
+		if s.lineAllow[file][l] == nil {
+			s.lineAllow[file][l] = map[string]bool{}
+		}
+		s.lineAllow[file][l][analyzer] = true
+	}
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -17,19 +16,9 @@ func loadProgram(t *testing.T, name string) *Program {
 	return prog
 }
 
-// progWants parses want annotations across every canonical pass.
-func progWants(t *testing.T, prog *Program) []want {
-	t.Helper()
-	var out []want
-	for _, pass := range prog.Canon {
-		out = append(out, parseWants(t, pass)...)
-	}
-	return out
-}
-
 // TestModuleAnalyzersOnFixtures runs each flow-aware analyzer over its
-// fixture tree through the full parallel engine (per-package Run, fact
-// export, module Join) and requires an exact match against the want
+// fixture tree through Program.Run (per-package Run, fact export, module
+// Join) and requires an exact match against the want
 // annotations. The snapshotcompat/clean tree asserts silence against a
 // committed, matching fingerprint.
 func TestModuleAnalyzersOnFixtures(t *testing.T) {
@@ -52,12 +41,11 @@ func TestModuleAnalyzersOnFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := prog.Run(analyzers, RunOptions{})
 			wants := progWants(t, prog)
 			if tc.wantAny && len(wants) == 0 {
 				t.Fatalf("fixture %s has no want annotations", tc.fixture)
 			}
-			matchWants(t, res.Diagnostics, wants)
+			matchWants(t, prog.Run(analyzers), wants)
 		})
 	}
 }
@@ -67,11 +55,11 @@ func TestModuleAnalyzersOnFixtures(t *testing.T) {
 func TestSnapshotFixCarriesRegeneration(t *testing.T) {
 	prog := loadProgram(t, "snapshotcompat/stale")
 	analyzers, _ := ByName([]string{"snapshotcompat"})
-	res := prog.Run(analyzers, RunOptions{})
-	if len(res.Diagnostics) != 1 {
-		t.Fatalf("want 1 diagnostic, got %d: %v", len(res.Diagnostics), res.Diagnostics)
+	diags := prog.Run(analyzers)
+	if len(diags) != 1 {
+		t.Fatalf("want 1 diagnostic, got %d: %v", len(diags), diags)
 	}
-	fix := res.Diagnostics[0].Fix
+	fix := diags[0].Fix
 	if fix == nil || fix.End != -1 || fix.NewText == "" {
 		t.Fatalf("stale fingerprint finding should carry a whole-file fix, got %+v", fix)
 	}
@@ -84,9 +72,8 @@ func TestSnapshotFixCarriesRegeneration(t *testing.T) {
 func TestErrDropFix(t *testing.T) {
 	prog := loadProgram(t, "errdrop")
 	analyzers, _ := ByName([]string{"errdrop"})
-	res := prog.Run(analyzers, RunOptions{})
 	fixes := map[string]bool{}
-	for _, d := range res.Diagnostics {
+	for _, d := range prog.Run(analyzers) {
 		if d.Fix != nil {
 			fixes[d.Fix.NewText] = true
 		}
@@ -96,24 +83,6 @@ func TestErrDropFix(t *testing.T) {
 	}
 	if !fixes["_, _ = "] {
 		t.Error("missing two-result `_, _ = ` fix")
-	}
-}
-
-// TestWorkerCountIndependence runs the whole suite over every fixture
-// tree at different worker counts and requires identical output — the
-// determinism contract behind parallel package analysis.
-func TestWorkerCountIndependence(t *testing.T) {
-	for _, fixture := range []string{"lockorder", "hotpathalloc", "errdrop"} {
-		runAt := func(workers int) []Diagnostic {
-			prog := loadProgram(t, fixture)
-			return prog.Run(All(), RunOptions{Workers: workers}).Diagnostics
-		}
-		serial := runAt(1)
-		for _, w := range []int{2, 8} {
-			if got := runAt(w); !reflect.DeepEqual(serial, got) {
-				t.Errorf("%s: diagnostics differ between 1 and %d workers:\n%v\nvs\n%v", fixture, w, serial, got)
-			}
-		}
 	}
 }
 

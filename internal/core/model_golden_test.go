@@ -26,14 +26,17 @@ var update = flag.Bool("update", false, "rewrite testdata/model_golden.txt from 
 
 const modelGoldenFile = "testdata/model_golden.txt"
 
-// TestModelGolden pins what core.Build produces. Each line of
-// testdata/model_golden.txt names a history, a base learner and a worker
-// count, then holds the SHA-256 of a canonical encoding of the model and
-// the readable Stats.Clustering counts. The encoding covers every concept's
-// model, Err, Len, Freq and Size, the transition matrix χ and the
-// occurrences; it leaves out the build time. The twin tests check one
-// engine against another, so a change that moves both sides, such as to
-// χ, the dendrogram cut or the grower's tie rule, shows only here.
+// TestModelGolden pins what core.Build produces and how its online
+// predictor runs. Each line of testdata/model_golden.txt names a history, a
+// base learner and a worker count, then holds the SHA-256 of a canonical
+// encoding of the model, the readable Stats.Clustering counts, and the
+// test-then-train run of m.NewPredictor() over the next 2,000 records of the
+// same generator: its mistakes and a short hash of its final active
+// probabilities. The encoding covers every concept's model, Err, Len, Freq
+// and Size, the transition matrix χ and the occurrences; it leaves out the
+// build time. The twin tests check one engine against another, so a change
+// that moves both sides, such as to χ, the dendrogram cut, the grower's tie
+// rule or ψ (Eq. 8) in both the predictor and its oracle, shows only here.
 //
 // Regenerate only on purpose, with
 //
@@ -41,20 +44,24 @@ const modelGoldenFile = "testdata/model_golden.txt"
 //
 // and say which lines moved and why.
 func TestModelGolden(t *testing.T) {
-	sea := synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 62, Lambda: 0.002}), 6000)
+	// take returns the history and the next 2,000 records of its generator.
+	take := func(s synth.Stream, n int) [2]*data.Dataset {
+		return [2]*data.Dataset{synth.TakeDataset(s, n), synth.TakeDataset(s, 2000)}
+	}
+	sea := take(synth.NewSEA(synth.SEAConfig{Seed: 62, Lambda: 0.002}), 6000)
 	// The exact-cut row runs the paper's own cut comparison (no slack),
 	// where Err* often equals Err, so a changed comparison shows.
 	histories := []struct {
 		name     string
-		d        *data.Dataset
+		d        [2]*data.Dataset
 		cutSlack float64
 	}{
-		{"stagger", synth.TakeDataset(synth.NewStagger(synth.StaggerConfig{Seed: 61}), 4000), 0},
+		{"stagger", take(synth.NewStagger(synth.StaggerConfig{Seed: 61}), 4000), 0},
 		{"sea", sea, 0},
 		{"sea-exactcut", sea, -1},
-		{"sea-noise", synth.TakeDataset(synth.NewSEA(synth.SEAConfig{Seed: 63, Lambda: 0.002, Noise: 0.1}), 6000), 0},
-		{"hyperplane", synth.TakeDataset(synth.NewHyperplane(synth.HyperplaneConfig{Seed: 64, Lambda: 0.002}), 4000), 0},
-		{"intrusion", synth.TakeDataset(synth.NewIntrusion(synth.IntrusionConfig{Seed: 65, Lambda: 0.002}), 1500), 0},
+		{"sea-noise", take(synth.NewSEA(synth.SEAConfig{Seed: 63, Lambda: 0.002, Noise: 0.1}), 6000), 0},
+		{"hyperplane", take(synth.NewHyperplane(synth.HyperplaneConfig{Seed: 64, Lambda: 0.002}), 4000), 0},
+		{"intrusion", take(synth.NewIntrusion(synth.IntrusionConfig{Seed: 65, Lambda: 0.002}), 1500), 0},
 	}
 	learners := []struct {
 		name string
@@ -72,11 +79,11 @@ func TestModelGolden(t *testing.T) {
 				opts.Seed = 7
 				opts.Workers = workers
 				opts.CutSlack = h.cutSlack
-				m, err := core.Build(h.d, opts)
+				m, err := core.Build(h.d[0], opts)
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", h.name, l.name, workers, err)
 				}
-				got = append(got, fmt.Sprintf("%s/%s/w%d %x %s", h.name, l.name, workers, modelDigest(t, m), statsLine(m.Stats.Clustering)))
+				got = append(got, fmt.Sprintf("%s/%s/w%d %x %s %s", h.name, l.name, workers, modelDigest(t, m), statsLine(m.Stats.Clustering), predictorLine(m, h.d[1])))
 			}
 		}
 	}
@@ -124,6 +131,23 @@ func readGolden(t *testing.T) []string {
 func statsLine(s cluster.Stats) string {
 	return fmt.Sprintf("blocks=%d chunks=%d trained=%d mergers=%d edges=%d pruned=%d reused=%d copied=%d",
 		s.Blocks, s.Chunks, s.ModelsTrained, s.Mergers, s.EdgesEvaluated, s.EdgesPruned, s.ModelsReused, s.RecordsCopied)
+}
+
+// predictorLine runs m.NewPredictor() test-then-train over next and
+// renders its mistakes and the first 8 bytes of the SHA-256 of its final
+// active probabilities' bits.
+func predictorLine(m *core.Model, next *data.Dataset) string {
+	p := m.NewPredictor()
+	mistakes := 0
+	for _, r := range next.Records {
+		if p.Predict(r) != r.Class {
+			mistakes++
+		}
+		p.Observe(r)
+	}
+	e := &canon{h: sha256.New()}
+	e.floats(p.ActiveProbabilities())
+	return fmt.Sprintf("mistakes=%d active=%x", mistakes, e.h.Sum(nil)[:8])
 }
 
 // modelDigest hashes the canonical encoding of m: fixed-width

@@ -145,8 +145,17 @@ const (
 	// modelMagic prefixes every versioned model file.
 	modelMagic = "homgob"
 	// ModelVersion is the format version written by WriteModel. Bump it
-	// when the persisted core.Model layout changes incompatibly.
-	ModelVersion = 1
+	// when the persisted core.Model layout changes incompatibly. Version 2
+	// added the unseen-branch marker (see unseenBranchN); ReadModel still
+	// reads version 1, which has no markers.
+	ModelVersion = 2
+
+	// unseenBranchN is the N of the marker node that stands, in a persisted
+	// tree, for a nominal branch no training record reached. In memory that
+	// branch is a nil child, which Predict answers with the parent's class,
+	// and gob cannot encode a nil slice element. No grown node has a
+	// negative N.
+	unseenBranchN = -1
 )
 
 // modelHeaderLen is the on-disk header size: the magic plus one version byte.
@@ -161,7 +170,7 @@ type ModelVersionError struct {
 
 // Error implements error.
 func (e *ModelVersionError) Error() string {
-	return fmt.Sprintf("dataio: model file is format version %d, this build reads version %d — rebuild the model with homtrain", e.Got, e.Want)
+	return fmt.Sprintf("dataio: model file is format version %d, this build reads versions 1 to %d — rebuild the model with homtrain", e.Got, e.Want)
 }
 
 // SaveModel persists a trained high-order model to path: a versioned
@@ -179,12 +188,14 @@ func SaveModel(path string, m *core.Model) error {
 }
 
 // WriteModel writes the versioned header and the gob-encoded model to w.
+// A tree's unseen branches are written as marker nodes; m itself is not
+// modified.
 func WriteModel(w io.Writer, m *core.Model) error {
 	header := append([]byte(modelMagic), byte(ModelVersion))
 	if _, err := w.Write(header); err != nil {
 		return fmt.Errorf("dataio: writing model header: %w", err)
 	}
-	if err := gob.NewEncoder(w).Encode(m); err != nil {
+	if err := gob.NewEncoder(w).Encode(withUnseenMarkers(m)); err != nil {
 		return fmt.Errorf("dataio: encoding model: %w", err)
 	}
 	return nil
@@ -224,7 +235,7 @@ func ReadModelFaulted(r io.Reader, warn io.Writer, inj *fault.Injector) (*core.M
 	br := bufio.NewReader(inj.CorruptReader(r))
 	header, err := br.Peek(modelHeaderLen)
 	if err == nil && string(header[:len(modelMagic)]) == modelMagic {
-		if v := int(header[len(modelMagic)]); v != ModelVersion {
+		if v := int(header[len(modelMagic)]); v < 1 || v > ModelVersion {
 			return nil, &ModelVersionError{Got: v, Want: ModelVersion}
 		}
 		if _, err := br.Discard(modelHeaderLen); err != nil {
@@ -241,5 +252,75 @@ func ReadModelFaulted(r io.Reader, warn io.Writer, inj *fault.Injector) (*core.M
 	if err := gob.NewDecoder(br).Decode(&m); err != nil {
 		return nil, fmt.Errorf("dataio: decoding model: %w", err)
 	}
+	for _, c := range m.Concepts {
+		if t, ok := c.Model.(*tree.Tree); ok {
+			restoreUnseen(t.Root)
+		}
+	}
 	return &m, nil
+}
+
+// withUnseenMarkers returns m, or, when a tree concept has unseen
+// branches, a copy of m whose affected trees are copies with a marker node
+// in place of each nil child.
+func withUnseenMarkers(m *core.Model) *core.Model {
+	out := m
+	for i, c := range m.Concepts {
+		t, ok := c.Model.(*tree.Tree)
+		if !ok || !hasUnseen(t.Root) {
+			continue
+		}
+		if out == m {
+			cp := *m
+			cp.Concepts = append([]core.Concept(nil), m.Concepts...)
+			out = &cp
+		}
+		marked := *t
+		marked.Root = markUnseen(t.Root)
+		out.Concepts[i].Model = &marked
+	}
+	return out
+}
+
+func hasUnseen(n *tree.Node) bool {
+	if n == nil {
+		return false
+	}
+	for _, c := range n.Children {
+		if c == nil || hasUnseen(c) {
+			return true
+		}
+	}
+	return false
+}
+
+// markUnseen copies the subtree at n, putting a marker node in each nil
+// child's place.
+func markUnseen(n *tree.Node) *tree.Node {
+	cp := *n
+	if n.Children != nil {
+		cp.Children = make([]*tree.Node, len(n.Children))
+		for i, c := range n.Children {
+			if c == nil {
+				cp.Children[i] = &tree.Node{N: unseenBranchN}
+			} else {
+				cp.Children[i] = markUnseen(c)
+			}
+		}
+	}
+	return &cp
+}
+
+// restoreUnseen turns the marker nodes below n back into nil children.
+func restoreUnseen(n *tree.Node) {
+	if n == nil {
+		return
+	}
+	for i, c := range n.Children {
+		if c != nil && c.N == unseenBranchN {
+			n.Children[i] = nil
+		} else {
+			restoreUnseen(c)
+		}
+	}
 }

@@ -2,6 +2,8 @@ package gate
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"highorder/internal/serve"
@@ -69,6 +71,21 @@ type AutoscalerConfig struct {
 
 	// Interval is the tick period for Run; <= 0 selects 2 seconds.
 	Interval time.Duration
+}
+
+// ParseBounds parses the "min:max" replica bounds of an -autoscale flag
+// into AutoscalerConfig's Min and Max, requiring 1 <= min <= max.
+func ParseBounds(v string) (minR, maxR int, err error) {
+	lo, hi, ok := strings.Cut(v, ":")
+	if !ok {
+		return 0, 0, fmt.Errorf("autoscale bounds %q: want min:max", v)
+	}
+	minR, err1 := strconv.Atoi(lo)
+	maxR, err2 := strconv.Atoi(hi)
+	if err1 != nil || err2 != nil || minR < 1 || maxR < minR {
+		return 0, 0, fmt.Errorf("autoscale bounds %q: want 1 <= min <= max", v)
+	}
+	return minR, maxR, nil
 }
 
 // withDefaults fills the zero-value knobs.

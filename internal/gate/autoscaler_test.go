@@ -236,3 +236,30 @@ func TestAutoscalerShedAndLatencyTriggers(t *testing.T) {
 		t.Fatalf("p99 trigger missed: %+v", d)
 	}
 }
+
+func TestParseBounds(t *testing.T) {
+	cases := []struct {
+		in       string
+		min, max int
+		ok       bool
+	}{
+		{"1:2", 1, 2, true},
+		{"3:3", 3, 3, true},
+		{"1:10", 1, 10, true},
+		{"0:2", 0, 0, false},
+		{"-1:2", 0, 0, false},
+		{"3:2", 0, 0, false},
+		{"2", 0, 0, false},
+		{"", 0, 0, false},
+		{"a:2", 0, 0, false},
+		{"1:b", 0, 0, false},
+		{"1:2:3", 0, 0, false},
+		{" 1:2", 0, 0, false},
+	}
+	for _, tc := range cases {
+		minR, maxR, err := ParseBounds(tc.in)
+		if (err == nil) != tc.ok || minR != tc.min || maxR != tc.max {
+			t.Errorf("ParseBounds(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, minR, maxR, err, tc.min, tc.max, tc.ok)
+		}
+	}
+}
